@@ -1,6 +1,7 @@
 """Command-line front end for the simulator and experiment suite."""
 
 import argparse
+from dataclasses import replace
 import json
 import os
 import sys

@@ -7,6 +7,17 @@ reveals that user, whose replicas are then cancelled everywhere (perfect
 interference cancellation, zero noise, and ideal side information about
 where a decoded user's replicas sit). Peeling repeats to a fixed point.
 
+There are two decoders, one per call shape. ``_peel`` peels one frame held
+as a user -> slot-set mapping; ``sic_decode`` and ``simulate_frame`` (the
+training frame) use it. ``_peel_frames`` peels a whole (frames, users, slots)
+incidence tensor at once; ``simulate_saturated`` uses it. Both keep the same
+fixed point and pass count. The kernel does not take the single-frame
+path, because it loses at one frame: for one frame of 10 users in 10 slots,
+``FrameOccupancy`` + ``_peel`` took 29 us and building the incidence tensor
++ ``_peel_frames`` 61 us (median of 50 frames, 2-core x86 host; an earlier
+bool-tensor form measured 81 us against 53 us). On a batch it wins:
+``simulate_saturated`` spends about 5 us per 10 x 10 frame instead of 24 us.
+
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
 """
@@ -176,6 +187,34 @@ def _peel(bursts: dict, n_slots: int) -> tuple[set, int]:
     return decoded, passes
 
 
+def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peeling fixed point over a (frames, users, slots) bool incidence tensor.
+
+    Every round computes the slot loads, decodes the users of singleton slots
+    (load 1) and clears their rows, exactly one ``_peel`` pass per frame.
+    Returns the (frames, users) decoded flags and the (frames,) count of
+    productive passes; rounds continue only on frames that made progress.
+    """
+    n_frames, n_users, _ = incidence.shape
+    decoded = np.zeros((n_frames, n_users), dtype=bool)
+    passes = np.zeros(n_frames, dtype=np.int64)
+    live = np.arange(n_frames)
+    # As 0/1 float32 both reductions of a round run as batched matrix
+    # products; every sum is a small integer, so they are exact.
+    work = incidence.astype(np.float32)
+    ones = np.ones((1, n_users), dtype=np.float32)
+    while live.size:
+        singles = (ones @ work == 1).astype(np.float32)  # (live, 1, slots)
+        newly = (work @ singles.transpose(0, 2, 1))[:, :, 0] > 0
+        progress = newly.any(axis=1)
+        if not progress.all():
+            live, work, newly = live[progress], work[progress], newly[progress]
+        passes[live] += 1
+        decoded[live] |= newly
+        work[newly] = 0
+    return decoded, passes
+
+
 def sic_decode(frame: FrameOccupancy) -> DecodeOutcome:
     """Run SIC peeling on a frame. The result is independent of peeling order."""
     decoded, passes = _peel(frame.bursts, frame.n_slots)
@@ -260,6 +299,7 @@ def simulate_saturated(
 
     counts = np.empty(n_frames, dtype=np.int64)
     chunk = max(1, int(2e5) // max(n_users * n_slots, 1))
+    ranks = np.arange(n_slots)
     done = 0
     while done < n_frames:
         f = min(chunk, n_frames - done)
@@ -267,12 +307,11 @@ def simulate_saturated(
         # permutation of the slots per (frame, user); the first l entries
         # are a uniform l-subset.
         order = np.argsort(rng.random((f, n_users, n_slots)), axis=2)
-        for i in range(f):
-            bursts = {
-                u: order[i, u, : degrees[done + i, u]]
-                for u in range(n_users)
-            }
-            decoded, _ = _peel(bursts, n_slots)
-            counts[done + i] = len(decoded)
+        incidence = np.zeros((f, n_users, n_slots), dtype=bool)
+        np.put_along_axis(
+            incidence, order, ranks < degrees[done : done + f, :, None], axis=2
+        )
+        decoded, _ = _peel_frames(incidence)
+        counts[done : done + f] = decoded.sum(axis=1)
         done += f
     return counts

@@ -291,7 +291,9 @@ def convergence_report(
     probe = config_factory(loads[0] if len(loads) else 0.5, virtual=virtual, seed=0)
     per_ep = probe.iters_per_episode
     for load in loads:
-        curves = learning_curves(load, repetitions, master_seed, virtual)
+        curves = learning_curves(
+            load, repetitions, master_seed, virtual, config_factory=config_factory
+        )
         time_iters, nonconv = _curve_convergence_iters(curves, epsilon, per_ep)
         boot_rng = _cell_rng(master_seed, 3, int(virtual), round(load * 1000))
         boots = []
@@ -327,7 +329,8 @@ def compare_virtual(
 
     Requested lengths are rounded down to whole episodes.
     """
-    if not len(list(iteration_grid)):
+    iteration_grid = list(iteration_grid)
+    if not iteration_grid:
         raise ConfigurationError("iteration grid must be nonempty")
     rows = []
     for virtual in (False, True):
@@ -469,6 +472,7 @@ def emit_report(tables: dict, out_dir: str, checks=None) -> list[str]:
         raise OSError(f"cannot create output directory {out_dir!r}: {exc}") from exc
 
     written = []
+    row_counts = {}
     for name, table in sorted(tables.items()):
         if isinstance(table, tuple):
             columns, rows = table
@@ -486,11 +490,11 @@ def emit_report(tables: dict, out_dir: str, checks=None) -> list[str]:
         except OSError as exc:
             raise OSError(f"cannot write report to {path!r}: {exc}") from exc
         written.append(path)
+        row_counts[name] = len(rows)
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w") as fh:
-        for name, table in sorted(tables.items()):
-            n = len(table[1]) if isinstance(table, tuple) else len(list(table))
+        for name, n in row_counts.items():
             fh.write(f"table {name}: {n} rows\n")
         for name, passed in checks or []:
             fh.write(f"check {name}: {'PASS' if passed else 'FAIL'}\n")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -114,6 +115,21 @@ def test_cli_sweep_writes_csv(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out, "--seed", "3"]) == 0
     lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
     assert len(lines) == 3  # header + 2 variants x 1 load
+
+
+def test_cli_sweep_flags_override_config(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "loads = 0.4\nvariants = vanilla_irsa\nrepetitions = 5\ntrials = 500\n",
+    )
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--out", out, "--seed", "3",
+                 "--reps", "2", "--trials", "30",
+                 "--variant", "slotted_aloha,random_strategy"]) == 0
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["variant"] for r in rows] == ["slotted_aloha", "random_strategy"]
+    assert all(r["repetitions"] == "2" and r["trials"] == "30" for r in rows)
 
 
 def test_cli_sweep_reproducible(tmp_path):

@@ -17,9 +17,10 @@ from irsa_rl.core import (
     simulate_slotted_aloha,
     slotted_aloha_throughput,
     uniform_distribution,
+    _peel_frames,
 )
 
-from oracles import all_orders_decode, stopping_set_decode
+from oracles import all_orders_decode, enumerate_frames, stopping_set_decode
 
 
 def frame(n_slots, **bursts):
@@ -261,6 +262,48 @@ def test_simulate_saturated_matches_per_frame_simulation():
         total += len(out.decoded)
     looped = total / frames / n
     assert abs(batched - looped) < 0.01
+
+
+@pytest.mark.parametrize("n_users,n_slots", [(3, 4), (4, 3)])
+def test_peel_frames_matches_sic_decode_on_every_frame(n_users, n_slots):
+    frames = list(enumerate_frames(n_users, n_slots))
+    incidence = np.zeros((len(frames), n_users, n_slots), dtype=bool)
+    for i, bursts in enumerate(frames):
+        for u, slots in bursts.items():
+            incidence[i, u, list(slots)] = True
+    before = incidence.copy()
+    decoded, passes = _peel_frames(incidence)
+    assert np.array_equal(incidence, before)
+    for i, bursts in enumerate(frames):
+        out = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
+        assert set(np.flatnonzero(decoded[i])) == set(out.decoded)
+        assert passes[i] == out.iterations
+
+
+def _replay_saturated(policies, n_slots, n_frames, seed):
+    """simulate_saturated's draws, redrawn in the same order, with every frame
+    decoded by sic_decode. Chunking does not change the uniform stream, so
+    the slot orders are drawn in one call."""
+    rng = np.random.default_rng(seed)
+    n_users = len(policies)
+    degrees = np.empty((n_frames, n_users), dtype=np.int64)
+    for u, dist in enumerate(policies):
+        degrees[:, u] = sample_degrees(dist, n_frames, rng)
+    np.minimum(degrees, n_slots, out=degrees)
+    order = np.argsort(rng.random((n_frames, n_users, n_slots)), axis=2)
+    counts = np.empty(n_frames, dtype=np.int64)
+    for i in range(n_frames):
+        bursts = {u: order[i, u, : degrees[i, u]].tolist() for u in range(n_users)}
+        counts[i] = len(sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded)
+    return counts
+
+
+@pytest.mark.parametrize("n_slots,m,n_frames", [(10, 10, 2500), (50, 40, 250)])
+def test_simulate_saturated_replays_sic_decode_exactly(n_slots, m, n_frames):
+    # 2500 and 250 frames each span more than one 2e5-element chunk
+    policies = [BASELINE_IRSA] * m
+    batched = simulate_saturated(policies, n_slots, n_frames, np.random.default_rng(21))
+    assert np.array_equal(batched, _replay_saturated(policies, n_slots, n_frames, 21))
 
 
 def test_slotted_aloha_throughput_values():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 import os
 
@@ -178,6 +179,27 @@ def test_convergence_report_smoke():
     assert row["epsilon"] == 0.5
 
 
+def test_convergence_report_trains_with_config_factory():
+    calls = []
+
+    def short_runs(load, virtual=False, seed=0):
+        calls.append(seed)
+        return replace(
+            convergence_config(load, virtual=virtual, seed=seed),
+            episodes=4,
+            iters_per_episode=10,
+        )
+
+    rows = convergence_report(
+        loads=(0.6,), repetitions=2, master_seed=10, bootstrap=5,
+        config_factory=short_runs,
+    )
+    # one probe plus one training config per repetition
+    assert len(calls) == 1 + 2
+    # four 10-iteration episodes: convergence can be no later than episode 3
+    assert 0 <= rows[0]["time_iters"] <= 3 * 10
+
+
 def test_compare_virtual_zero_grid_matches_untrained():
     rows = compare_virtual(
         0.7, iteration_grid=(0,), repetitions=3, trials=200, master_seed=11
@@ -192,6 +214,14 @@ def test_compare_virtual_zero_grid_matches_untrained():
 def test_compare_virtual_rejects_empty_grid():
     with pytest.raises(ConfigurationError):
         compare_virtual(0.7, iteration_grid=(), repetitions=1, trials=10)
+
+
+def test_compare_virtual_accepts_generator_grid():
+    rows = compare_virtual(
+        0.7, iteration_grid=(n for n in (0,)), repetitions=1, trials=20,
+        master_seed=11,
+    )
+    assert [r["variant"] for r in rows] == ["dec_rl", "dec_rl_virtual"]
 
 
 # --- waterfall suite ------------------------------------------------------------
@@ -253,6 +283,20 @@ def test_emit_report_summary_checks(tmp_path):
     text = open(tmp_path / "summary.txt").read()
     assert "check alpha: PASS" in text
     assert "check beta: FAIL" in text
+
+
+def test_emit_report_counts_generator_rows(tmp_path):
+    emit_report(
+        {
+            "dicts": ({"a": i} for i in range(3)),
+            "pairs": (["a"], ((i,) for i in range(2))),
+        },
+        str(tmp_path),
+    )
+    text = open(tmp_path / "summary.txt").read()
+    assert "table dicts: 3 rows" in text
+    assert "table pairs: 2 rows" in text
+    assert len(open(tmp_path / "dicts.csv").read().splitlines()) == 1 + 3
 
 
 def test_emit_report_requires_tables(tmp_path):
