@@ -6,6 +6,12 @@ the last w buffer levels (oldest first), its actions are replica counts in
 drain b_prev - b_now with an unbounded one). After training, the visited
 table is folded into a deployable degree distribution.
 
+The Q-table keeps one row of q values and one row of visit counts per
+history, indexed by action - 1, so an update costs one row lookup for the
+successor history (its maximum is one ``max`` over the row) and one for the
+updated history. Learning rates come from a per-``LearningParams`` list of
+``learning_rate`` values, extended on demand, instead of a call per update.
+
 A note on the learning-rate schedule: the default geometric schedule
 alpha = min(1, 1.111 * 0.9^visits) decays too fast to satisfy the
 Robbins-Monro divergence condition (sum alpha = infinity fails), so the
@@ -15,6 +21,7 @@ phi in (0.5, 1]) when the guarantee matters more than the tuned schedule.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -71,9 +78,10 @@ class LearningParams:
         if not 0.5 < self.phi <= 1.0:
             raise ValueError("phi must lie in (0.5, 1] for Robbins-Monro")
 
-    @property
-    def actions(self) -> range:
-        return range(1, self.d + 1)
+    @cached_property
+    def _alphas(self) -> list[float]:
+        """learning_rate(v, self) at index v; q_update extends it on demand."""
+        return []
 
 
 def learning_rate(visits: int, params: LearningParams) -> float:
@@ -91,87 +99,98 @@ def learning_rate(visits: int, params: LearningParams) -> float:
 
 
 class QTable:
-    """Sparse (history, action) -> (q value, visit count) table.
+    """(history, action) -> (q value, visit count) table, one row per history.
 
-    Absent keys read as (0.0, 0). Visit counts only ever increase; they feed
-    the per-pair learning-rate schedule.
+    ``_q[h]`` and ``_n[h]`` hold the q values and visit counts of history h,
+    action a at index a - 1. A row is created, or widened, with zeros on the
+    first write that needs it, so an absent history or action reads as
+    (0.0, 0). Visit counts only ever increase; they feed the per-pair
+    learning-rate schedule.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_q", "_n")
 
     def __init__(self):
-        self._entries: dict[tuple[History, int], list] = {}
+        self._q: dict[History, list[float]] = {}
+        self._n: dict[History, list[int]] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Number of visited (history, action) pairs."""
+        return sum(v > 0 for row in self._n.values() for v in row)
 
     def q(self, h: History, a: int) -> float:
-        e = self._entries.get((h, a))
-        return e[0] if e is not None else 0.0
+        row = self._q.get(h)
+        return row[a - 1] if row is not None and 0 < a <= len(row) else 0.0
 
     def visits(self, h: History, a: int) -> int:
-        e = self._entries.get((h, a))
-        return e[1] if e is not None else 0
+        row = self._n.get(h)
+        return row[a - 1] if row is not None and 0 < a <= len(row) else 0
+
+    def _rows(self, h: History, width: int) -> tuple[list[float], list[int]]:
+        """The q and visit rows of h, created or widened to at least ``width``."""
+        q_row = self._q.get(h)
+        if q_row is None:
+            q_row = self._q[h] = [0.0] * width
+            n_row = self._n[h] = [0] * width
+            return q_row, n_row
+        n_row = self._n[h]
+        if len(q_row) < width:
+            pad = width - len(q_row)
+            q_row.extend([0.0] * pad)
+            n_row.extend([0] * pad)
+        return q_row, n_row
 
     def record(self, h: History, a: int, q_value: float) -> None:
         """Store a new q value for (h, a) and count one more visit."""
-        e = self._entries.get((h, a))
-        if e is None:
-            self._entries[(h, a)] = [q_value, 1]
-        else:
-            e[0] = q_value
-            e[1] += 1
+        if a < 1:
+            raise ValueError(f"action must be >= 1, got {a}")
+        q_row, n_row = self._rows(h, a)
+        q_row[a - 1] = q_value
+        n_row[a - 1] += 1
 
-    def max_q(self, h: History, actions) -> float:
+    def _values(self, h: History, d: int) -> list[float]:
+        """q values of actions 1..d for h."""
+        row = self._q.get(h)
+        if row is None:
+            return [0.0] * d
+        if len(row) == d:
+            return row
+        return row[:d] + [0.0] * (d - len(row))
+
+    def max_q(self, h: History, d: int) -> float:
         # Unseen actions read as 0.0; with nonpositive rewards that makes
         # unexplored actions look optimistic.
-        entries = self._entries
-        best = None
-        for a in actions:
-            e = entries.get((h, a))
-            v = e[0] if e is not None else 0.0
-            if best is None or v > best:
-                best = v
-        return best if best is not None else 0.0
+        return max(self._values(h, d))
 
-    def greedy_actions(self, h: History, actions) -> list[int]:
-        """All actions attaining the maximal q value for h (tie set)."""
-        values = [self.q(h, a) for a in actions]
+    def greedy_actions(self, h: History, d: int) -> list[int]:
+        """All actions in 1..d attaining the maximal q value for h (tie set)."""
+        values = self._values(h, d)
         best = max(values)
-        return [a for a, v in zip(actions, values) if v == best]
+        if values.count(best) == 1:
+            return [values.index(best) + 1]
+        return [a for a, v in enumerate(values, start=1) if v == best]
 
     def items(self):
-        for (h, a), (q_value, visits) in self._entries.items():
-            yield h, a, q_value, visits
+        for h, q_row in self._q.items():
+            for a, (q_value, visits) in enumerate(zip(q_row, self._n[h]), start=1):
+                if visits:
+                    yield h, a, q_value, visits
 
     def history_visits(self) -> dict[History, int]:
         """Total visit count per history, summed over actions."""
-        totals: dict[History, int] = {}
-        for (h, _a), (_q, visits) in self._entries.items():
-            totals[h] = totals.get(h, 0) + visits
-        return totals
-
-    def total_visits(self) -> int:
-        return sum(e[1] for e in self._entries.values())
-
-    def copy(self) -> "QTable":
-        dup = QTable()
-        dup._entries = {k: list(v) for k, v in self._entries.items()}
-        return dup
+        return {h: sum(n_row) for h, n_row in self._n.items()}
 
     # -- flat text checkpoint format -------------------------------------
-    # One line per entry: w comma-separated buffer levels, the action, the
-    # q value (repr, round-trip exact), the visit count.
+    # One line per visited entry, sorted: w comma-separated buffer levels,
+    # the action, the q value (repr, round-trip exact), the visit count.
 
     def to_lines(self) -> list[str]:
         lines = []
-        for (h, a), (q_value, visits) in sorted(self._entries.items()):
-            fields = [str(level) for level in h] + [
-                str(a),
-                repr(float(q_value)),
-                str(visits),
-            ]
-            lines.append(",".join(fields))
+        for h in sorted(self._q):
+            prefix = "".join(f"{level}," for level in h)
+            for a, (q_value, visits) in enumerate(zip(self._q[h], self._n[h]), start=1):
+                if visits:
+                    lines.append(f"{prefix}{a},{float(q_value)!r},{visits}")
         return lines
 
     @classmethod
@@ -185,8 +204,12 @@ class QTable:
             if len(parts) < 4:
                 raise ValueError(f"malformed q-table line: {line!r}")
             *levels, a, q_value, visits = parts
-            key = (tuple(int(x) for x in levels), int(a))
-            table._entries[key] = [float(q_value), int(visits)]
+            a, visits = int(a), int(visits)
+            if a < 1 or visits < 1:
+                raise ValueError(f"malformed q-table line: {line!r}")
+            q_row, n_row = table._rows(tuple(int(x) for x in levels), a)
+            q_row[a - 1] = float(q_value)
+            n_row[a - 1] = visits
         return table
 
     def save(self, path) -> None:
@@ -210,7 +233,7 @@ def select_action(
     play a greedy action with uniform random tie-breaking."""
     if params.epsilon > 0.0 and rng.random() < params.epsilon:
         return int(rng.integers(1, params.d + 1))
-    ties = q.greedy_actions(h, params.actions)
+    ties = q.greedy_actions(h, params.d)
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
@@ -237,10 +260,29 @@ def q_update(
     alpha comes from the pair's visit count before this update; the count is
     incremented afterwards.
     """
-    visits = q.visits(h, a)
-    alpha = learning_rate(visits, params)
-    target = r + params.gamma * q.max_q(h_next, params.actions)
-    q.record(h, a, (1.0 - alpha) * q.q(h, a) + alpha * target)
+    d = params.d
+    next_row = q._q.get(h_next)
+    if next_row is None:
+        best = 0.0
+    elif len(next_row) == d:
+        best = max(next_row)
+    else:
+        best = q.max_q(h_next, d)
+    target = r + params.gamma * best
+    q_row = q._q.get(h)
+    if q_row is None or not 0 < a <= len(q_row):
+        if a < 1:
+            raise ValueError(f"action must be >= 1, got {a}")
+        q_row, n_row = q._rows(h, a if a > d else d)
+    else:
+        n_row = q._n[h]
+    visits = n_row[a - 1]
+    alphas = params._alphas
+    while visits >= len(alphas):
+        alphas.append(learning_rate(len(alphas), params))
+    alpha = alphas[visits]
+    q_row[a - 1] = (1.0 - alpha) * q_row[a - 1] + alpha * target
+    n_row[a - 1] = visits + 1
 
 
 def extract_policy(q: QTable, d: int) -> DegreeDistribution:
@@ -252,11 +294,10 @@ def extract_policy(q: QTable, d: int) -> DegreeDistribution:
     distribution. Invariant under any positive rescaling of the q values.
     """
     weights = [0.0] * d
-    actions = range(1, d + 1)
     for h, visits in q.history_visits().items():
         if visits <= 0:
             continue
-        ties = q.greedy_actions(h, actions)
+        ties = q.greedy_actions(h, d)
         share = visits / len(ties)
         for a in ties:
             weights[a - 1] += share

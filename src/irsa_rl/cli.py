@@ -128,7 +128,10 @@ def cmd_eval(args) -> int:
         nodes = []
         for i in range(cfg.m):
             path = os.path.join(args.qtables, f"node_{i:03d}.qtable")
-            table = QTable.load(path)
+            try:
+                table = QTable.load(path)
+            except ValueError as exc:
+                raise ConfigurationError(f"bad q-table checkpoint {path!r}: {exc}") from exc
             nodes.append(
                 NodeState(
                     buffer=cfg.params.B,
@@ -282,10 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
+    if args.workers != 1 and args.command != "sweep":
+        raise ConfigurationError(
+            f"--workers applies only to sweep; {args.command} runs in one process"
+        )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_workers(args)
         return args.func(args)
     except ConfigurationError as exc:
         print(json.dumps({"error": str(exc), "kind": "configuration"}), file=sys.stderr)

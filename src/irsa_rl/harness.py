@@ -86,8 +86,12 @@ class SweepSpec:
     level: float = 0.975
 
     def __post_init__(self):
+        # Materialise once: a generator would be exhausted by the checks below.
+        for name in ("loads", "frame_sizes", "variants"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if any(g <= 0 for g in self.loads):
             raise ConfigurationError("loads must be positive")
+        _check_load_keys(self.loads)
         if not self.variants:
             raise ConfigurationError("need at least one protocol variant")
         for v in self.variants:
@@ -110,6 +114,18 @@ class SweepRow:
     stderr: float
     ci_low: float
     ci_high: float
+
+
+def _check_load_keys(loads) -> None:
+    """Reject distinct loads that would share a cell seed key, round(load * 1000)."""
+    seen = {}
+    for load in loads:
+        other = seen.setdefault(round(load * 1000), load)
+        if other != load:
+            raise ConfigurationError(
+                f"loads {other!r} and {load!r} share one seed stream; "
+                "keep distinct loads at least 0.001 apart"
+            )
 
 
 def _cell_rng(master_seed: int, *parts: int) -> np.random.Generator:
@@ -287,8 +303,10 @@ def convergence_report(
 ) -> list[dict]:
     """Per-load convergence time of the averaged learning curve, with a
     bootstrap-over-repetitions confidence interval."""
+    loads = tuple(loads)
+    _check_load_keys(loads)
     rows = []
-    probe = config_factory(loads[0] if len(loads) else 0.5, virtual=virtual, seed=0)
+    probe = config_factory(loads[0] if loads else 0.5, virtual=virtual, seed=0)
     per_ep = probe.iters_per_episode
     for load in loads:
         curves = learning_curves(
@@ -389,6 +407,8 @@ def waterfall_suite(
 ) -> list[dict]:
     """Random strategy vs low-load-tuned vs high-load-tuned learners per load,
     plus the per-load envelope (best scheme) and winner flags."""
+    loads = tuple(loads)
+    _check_load_keys(loads)
     schemes = {
         "random_strategy": None,
         "dec_rl_low": LOW_LOAD_PARAMS,

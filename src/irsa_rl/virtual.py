@@ -87,17 +87,22 @@ def batch_update(
 
     Returns the number of members updated.
     """
-    c_next = h_next[-2] - h_next[-1]
-    updated = 0
-    for member in enumerate_class(transform(h_visited), params.B, params.w):
-        successor_level = member[-1] - c_next
-        if not 0 <= successor_level <= params.B:
-            continue
-        member_next = member[1:] + (successor_level,)
-        r = float(-successor_level)
+    moves = _moves(transform(h_visited), h_next[-2] - h_next[-1], params.B, params.w)
+    for member, member_next, r in moves:
         q_update(q, member, a, r, member_next, params)
-        updated += 1
-    return updated
+    return len(moves)
+
+
+@lru_cache(maxsize=None)
+def _moves(key: VirtualKey, c_next: int, B: int, w: int) -> tuple:
+    """(member, member_next, reward) of every class member whose successor
+    level stays inside [0, B], in canonical order (see ``batch_update``)."""
+    moves = []
+    for member in enumerate_class(key, B, w):
+        successor_level = member[-1] - c_next
+        if 0 <= successor_level <= B:
+            moves.append((member, member[1:] + (successor_level,), float(-successor_level)))
+    return tuple(moves)
 
 
 def coverage_time(trace, space_size: int):

@@ -232,9 +232,11 @@ def test_extract_policy_scaling_invariance():
         a = int(rng.integers(1, 5))
         q.record(h, a, float(-rng.random()))
     base = extract_policy(q, 4)
-    scaled = QTable()
-    for h, a, value, visits in q.items():
-        scaled._entries[(h, a)] = [value * 7.5, visits]
+    scaled_lines = []
+    for line in q.to_lines():
+        *key, value, visits = line.split(",")
+        scaled_lines.append(",".join(key + [repr(float(value) * 7.5), visits]))
+    scaled = QTable.from_lines(scaled_lines)
     assert np.allclose(base.coeffs, extract_policy(scaled, 4).coeffs)
     assert abs(sum(base.coeffs) - 1.0) < 1e-9
 
@@ -277,6 +279,66 @@ def test_qtable_serialization_roundtrip(tmp_path):
 def test_qtable_rejects_malformed_lines():
     with pytest.raises(ValueError):
         QTable.from_lines(["1,2"])
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "0,0,0,0,x,-1.0,1",  # non-integer action
+        "0,0,0,0,1,-1.0,0",  # zero visits: to_lines never writes one
+        "0,0,0,0,1,-1.0,-3",
+        "0,0,0,0,0,-1.0,1",  # actions start at 1
+        "0,0,0,0,-1,-1.0,1",
+    ],
+)
+def test_qtable_rejects_invalid_entries(line):
+    with pytest.raises(ValueError):
+        QTable.from_lines([line])
+
+
+def test_qtable_row_widens_for_higher_action():
+    q = QTable()
+    h = (1, 2, 3, 4)
+    q.record(h, 2, -1.0)
+    q.record(h, 6, -2.0)
+    assert (q.q(h, 2), q.visits(h, 2)) == (-1.0, 1)
+    assert (q.q(h, 6), q.visits(h, 6)) == (-2.0, 1)
+    # the slots filled in by widening read as unvisited
+    for a in (1, 3, 4, 5, 7):
+        assert (q.q(h, a), q.visits(h, a)) == (0.0, 0)
+    assert sorted(q.items()) == [(h, 2, -1.0, 1), (h, 6, -2.0, 1)]
+    # q_update at d=4 keeps the wider row and its action 6 entry
+    q_update(q, h, 1, -1.0, h, PARAMS)
+    assert q.q(h, 6) == -2.0 and q.visits(h, 1) == 1
+
+
+def test_qtable_max_q_and_greedy_actions_at_other_widths():
+    q = QTable()
+    h = (0, 0, 0, 1)
+    q.record(h, 1, -0.5)
+    q.record(h, 2, -0.25)
+    # d wider than the row: actions 3 and 4 are unvisited and read 0.0
+    assert q.max_q(h, 4) == 0.0
+    assert q.greedy_actions(h, 4) == [3, 4]
+    # d narrower than the row: action 2 is out of range
+    assert q.max_q(h, 1) == -0.5
+    assert q.greedy_actions(h, 1) == [1]
+    assert q.max_q(h, 2) == -0.25
+    assert q.greedy_actions(h, 2) == [2]
+    # an unseen history ties every action at 0.0
+    assert q.max_q((5, 5, 5, 5), 3) == 0.0
+    assert q.greedy_actions((5, 5, 5, 5), 3) == [1, 2, 3]
+
+
+def test_qtable_len_counts_visited_entries_only():
+    q = QTable()
+    assert len(q) == 0
+    q.record((0, 0, 0, 0), 4, -1.0)  # row of width 4, one visited entry
+    assert len(q) == 1
+    q.record((0, 0, 0, 0), 4, -1.5)  # revisit: still one entry
+    q.record((0, 0, 0, 1), 1, -1.0)
+    assert len(q) == 2
+    assert len(QTable.from_lines(q.to_lines())) == 2
 
 
 def test_history_helpers():

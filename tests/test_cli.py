@@ -180,3 +180,44 @@ def test_cli_waterfall_small(tmp_path):
                  "--trials", "40"]) == 0
     lines = open(os.path.join(out, "waterfall.csv")).read().splitlines()
     assert len(lines) == 1 + 4  # header + 3 schemes + envelope
+
+
+@pytest.mark.parametrize(
+    "bad_line", ["1,2", "0,0,0,0,two,-1.5,3"], ids=["short", "non_integer"]
+)
+def test_cli_eval_bad_checkpoint_is_config_error(tmp_path, capsys, bad_line):
+    cfg = write_config(tmp_path, "load = 0.1\n")  # one node: node_000.qtable
+    qdir = tmp_path / "tables"
+    qdir.mkdir()
+    path = qdir / "node_000.qtable"
+    path.write_text("0,0,0,0,1,-1.0,2\n" + bad_line + "\n")
+    code = main(["eval", "--config", cfg, "--qtables", str(qdir),
+                 "--trials", "10", "--out", str(tmp_path)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "configuration"
+    assert str(path) in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--workers", "4"],
+        ["baseline", "--workers", "2"],
+        ["waterfall", "--workers", "2"],
+        ["sweep", "--workers", "0"],
+        ["train", "--workers", "-1"],
+    ],
+    ids=["train", "baseline", "waterfall", "sweep_zero", "negative"],
+)
+def test_cli_rejects_unusable_workers(tmp_path, capsys, argv):
+    # a config small enough that a command ignoring the flag finishes at once
+    cfg = write_config(
+        tmp_path, "load = 0.1\nepisodes = 1\nloads = 0.1\nrepetitions = 1\n"
+    )
+    out = str(tmp_path / "x")
+    assert main(argv + ["--config", cfg, "--trials", "1", "--out", out]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "configuration"
+    assert "--workers" in payload["error"]
+    assert not os.path.exists(out)  # rejected before any work

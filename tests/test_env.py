@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from irsa_rl.env import (
     step_frame,
     train,
 )
+from irsa_rl.harness import convergence_config
 
 
 def make_nodes(buffers, params):
@@ -238,6 +240,48 @@ def test_train_trace_shape_and_episode_means():
     assert len(rec.episode_trace(2)) == 10
     rows = list(rec.rows(trial=7))
     assert rows[0][0] == 7 and len(rows[0]) == 6
+
+
+def _train_digest(cfg):
+    nodes, rec = train(cfg)
+    state = (
+        rec.mean_reward,
+        rec.throughput,
+        rec.resets,
+        rec.dropped,
+        [node.q.to_lines() for node in nodes],
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+# Digests of the training stream: trace, drop total and every node's table.
+# Any change to an RNG draw, the update order or the floating-point arithmetic
+# of the trainer moves them; a pure speed-up must leave them alone.
+_PINNED_STREAMS = [
+    (
+        TrainConfig(load=1.0, episodes=6, seed=11),
+        "0e524fd2dfa4449090310b73ea91f39138fb727756673cc09b238f8f7580dbc8",
+    ),
+    (
+        replace(convergence_config(0.7, virtual=True, seed=12), episodes=8),
+        "fb43ea033bc368214d2755667c4d432ce1abf4c8265cdc0dc9bef42a2fd58f44",
+    ),
+    (
+        TrainConfig(
+            load=0.6,
+            params=LearningParams(alpha_schedule="polynomial", phi=0.7),
+            virtual_experience=True,
+            episodes=6,
+            seed=13,
+        ),
+        "f80e972d742fb88e7fecf84bbb758d2028bb1e078ae3bbac7b411dc7141c06bb",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,digest", _PINNED_STREAMS, ids=["plain", "virtual", "poly"])
+def test_train_stream_is_pinned(cfg, digest):
+    assert _train_digest(cfg) == digest
 
 
 def test_train_fast_convergence_at_light_load():

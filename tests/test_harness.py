@@ -200,6 +200,22 @@ def test_convergence_report_trains_with_config_factory():
     assert 0 <= rows[0]["time_iters"] <= 3 * 10
 
 
+def _short_convergence(load, virtual=False, seed=0):
+    return replace(
+        convergence_config(load, virtual=virtual, seed=seed),
+        episodes=3,
+        iters_per_episode=5,
+    )
+
+
+def test_convergence_report_accepts_generator_loads():
+    kwargs = dict(repetitions=2, master_seed=10, bootstrap=5,
+                  config_factory=_short_convergence)
+    rows = convergence_report(loads=(g for g in (0.6, 0.3)), **kwargs)
+    assert rows == convergence_report(loads=(0.6, 0.3), **kwargs)
+    assert [r["load"] for r in rows] == [0.6, 0.3]
+
+
 def test_compare_virtual_zero_grid_matches_untrained():
     rows = compare_virtual(
         0.7, iteration_grid=(0,), repetitions=3, trials=200, master_seed=11
@@ -246,6 +262,46 @@ def test_waterfall_suite_envelope_is_max():
             if r["load"] == load and r["is_winner"] and r["scheme"] != "envelope"
         ]
         assert len(winners) == 1
+
+
+def test_waterfall_suite_accepts_generator_loads():
+    base = TrainConfig(episodes=1, iters_per_episode=5)
+    kwargs = dict(base=base, repetitions=2, trials=10, master_seed=12)
+    rows = waterfall_suite((g for g in (0.3,)), **kwargs)
+    assert len(rows) == 4  # three schemes + envelope
+    assert rows == waterfall_suite((0.3,), **kwargs)
+
+
+def test_sweep_spec_accepts_generators():
+    spec = SweepSpec(
+        loads=(g for g in (0.5,)),
+        frame_sizes=(n for n in (10,)),
+        variants=(v for v in ("slotted_aloha",)),
+        repetitions=2,
+        trials=5,
+    )
+    rows = run_sweep(spec, BASE, master_seed=3)
+    assert len(rows) == 1
+    assert rows == run_sweep(
+        SweepSpec(loads=(0.5,), variants=("slotted_aloha",), repetitions=2, trials=5),
+        BASE,
+        master_seed=3,
+    )
+
+
+def test_loads_sharing_a_seed_key_are_rejected():
+    # round(load * 1000) keys every load's streams: 0.5 and 0.5004 would
+    # silently draw identical repetitions.
+    loads = (0.5, 0.5004)
+    with pytest.raises(ConfigurationError, match="seed stream"):
+        SweepSpec(loads=loads)
+    with pytest.raises(ConfigurationError, match="seed stream"):
+        convergence_report(loads=loads, repetitions=1, bootstrap=1,
+                           config_factory=_short_convergence)
+    with pytest.raises(ConfigurationError, match="seed stream"):
+        waterfall_suite(loads, TrainConfig(episodes=1), repetitions=1, trials=1)
+    # a repeated load is the same cell, not a collision
+    assert SweepSpec(loads=(0.5, 0.5)).loads == (0.5, 0.5)
 
 
 def test_high_load_preset_caps_replicas():
