@@ -2,9 +2,9 @@
 
 The learner observes only its own buffer: its Q-table state is the tuple of
 the last w buffer levels (oldest first), its actions are replica counts in
-{1..d}, and its reward is buffer-driven (-b with a finite buffer, the buffer
-drain b_prev - b_now with an unbounded one). After training, the visited
-table is folded into a deployable degree distribution.
+{1..d}, and its reward is minus its buffer level after the frame (the
+capacity B is a finite integer). After training, the visited table is folded
+into a deployable degree distribution.
 
 The Q-table keeps one row of q values and one row of visit counts per
 history, indexed by action - 1, so an update costs one row lookup for the
@@ -22,7 +22,6 @@ phi in (0.5, 1]) when the guarantee matters more than the tuned schedule.
 
 from dataclasses import dataclass
 from functools import cached_property
-import math
 
 import numpy as np
 
@@ -71,6 +70,8 @@ class LearningParams:
             raise ValueError("gamma must lie in [0, 1)")
         if self.alpha_base <= 0 or not 0.0 < self.alpha_decay <= 1.0:
             raise ValueError("alpha schedule must be positive and non-increasing")
+        if not all(isinstance(v, int) for v in (self.w, self.B, self.d)):
+            raise ValueError("w, B and d must be integers")
         if self.w < 1 or self.B < 1 or self.d < 1:
             raise ValueError("w, B and d must all be >= 1")
         if self.alpha_schedule not in ("geometric", "polynomial"):
@@ -239,11 +240,8 @@ def select_action(
     return ties[int(rng.integers(len(ties)))]
 
 
-def reward(b_prev: int, b_now: int, capacity) -> float:
-    """Buffer-driven reward: drained packets when the buffer is unbounded,
-    minus the current backlog when it is finite."""
-    if capacity is None or capacity == math.inf:
-        return float(b_prev - b_now)
+def reward(b_now: int) -> float:
+    """Buffer-driven reward: minus the backlog after the frame."""
     return float(-b_now)
 
 

@@ -19,11 +19,10 @@ from .core import (
 from .agent import QTable
 from .env import (
     ConfigurationError,
-    NodeState,
     TRACE_COLUMNS,
     TrainConfig,
+    deployed_policies,
     evaluate,
-    new_nodes,
     train,
 )
 from .harness import (
@@ -34,7 +33,6 @@ from .harness import (
     run_sweep,
     waterfall_suite,
 )
-from .agent import initial_history
 
 __all__ = ["main"]
 
@@ -125,23 +123,14 @@ def cmd_eval(args) -> int:
     _, cfg = _load_config(args)
     trials = args.trials or 1000
     if args.qtables:
-        nodes = []
+        tables = []
         for i in range(cfg.m):
             path = os.path.join(args.qtables, f"node_{i:03d}.qtable")
             try:
-                table = QTable.load(path)
+                tables.append(QTable.load(path))
             except ValueError as exc:
                 raise ConfigurationError(f"bad q-table checkpoint {path!r}: {exc}") from exc
-            nodes.append(
-                NodeState(
-                    buffer=cfg.params.B,
-                    history=initial_history(cfg.params.B, cfg.params.w),
-                    q=table,
-                )
-            )
-        from .env import deployed_policies
-
-        policy = deployed_policies(nodes, cfg.params.d)
+        policy = deployed_policies(tables, cfg.params.d)
     else:
         policy = _policy_from_variant(args.variant or "vanilla_irsa", cfg)
     summary = evaluate(
@@ -197,10 +186,10 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_virtual_compare(args) -> int:
-    values, cfg = _load_config(args)
+    _, cfg = _load_config(args)
     grid = (0, 150, 300, 600, 900, 1200, 1500)
     rows = compare_virtual(
-        load=cfg.load if cfg.load else 0.7,
+        load=cfg.load,
         iteration_grid=grid,
         repetitions=args.reps or 10,
         trials=args.trials or 400,

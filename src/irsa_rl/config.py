@@ -4,8 +4,7 @@ Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
 ignored. Lists are comma-separated. Recognized keys:
 
   run:    n_slots, load, n_nodes, episodes, iters_per_episode,
-          virtual_experience, arrival_kind, arrival_param, seed,
-          load_schedule (reserved; "episode:load" pairs, e.g. "0:0.5, 25:0.9")
+          virtual_experience, arrival_kind, arrival_param, seed
   agent:  buffer, window, max_replicas, epsilon, gamma, alpha_base,
           alpha_decay, alpha_schedule, phi
   sweep:  loads, frame_sizes, variants, repetitions, trials, ci_level
@@ -27,7 +26,6 @@ _RUN_KEYS = {
     "arrival_kind",
     "arrival_param",
     "seed",
-    "load_schedule",
 }
 _AGENT_KEYS = {
     "buffer",
@@ -108,22 +106,6 @@ def build_learning_params(values: dict[str, str]) -> LearningParams:
     )
 
 
-def _parse_load_schedule(raw: str) -> tuple:
-    entries = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            episode, load = part.split(":")
-            entries.append((int(episode), float(load)))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"bad load_schedule entry {part!r} (want episode:load)"
-            ) from exc
-    return tuple(entries)
-
-
 def build_train_config(values: dict[str, str], seed=None) -> TrainConfig:
     defaults = TrainConfig()
     arrivals = ArrivalModel(
@@ -140,7 +122,6 @@ def build_train_config(values: dict[str, str], seed=None) -> TrainConfig:
         arrivals=arrivals,
         n_nodes=_get(values, "n_nodes", int, None),
         seed=seed if seed is not None else _get(values, "seed", int, defaults.seed),
-        load_schedule=_parse_load_schedule(values.get("load_schedule", "")),
     )
 
 

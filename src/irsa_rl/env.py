@@ -9,7 +9,6 @@ initial distribution; learned tables always carry over.
 """
 
 from dataclasses import dataclass, field, replace
-import math
 
 import numpy as np
 
@@ -96,12 +95,7 @@ class NodeState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full parameterization of one training/evaluation run.
-
-    ``load_schedule`` is accepted (a tuple of (episode, load) pairs) and
-    validated for future load-switching experiments; the current training
-    loop holds the load constant and ignores it.
-    """
+    """Full parameterization of one training/evaluation run."""
 
     n_slots: int = 10
     load: float = 0.5
@@ -112,7 +106,6 @@ class TrainConfig:
     arrivals: ArrivalModel = ArrivalModel()
     n_nodes: int | None = None  # default: round(load * n_slots)
     seed: int = 0
-    load_schedule: tuple = ()
 
     def __post_init__(self):
         if self.n_slots < 1:
@@ -123,10 +116,6 @@ class TrainConfig:
             raise ConfigurationError("episode dimensions cannot be negative")
         if self.m < 1:
             raise ConfigurationError("configuration yields zero nodes")
-        for entry in self.load_schedule:
-            episode, g = entry
-            if episode < 0 or g <= 0:
-                raise ConfigurationError(f"bad load-schedule entry {entry!r}")
 
     @property
     def m(self) -> int:
@@ -238,7 +227,7 @@ def step_frame(
         node.buffer = b_new
         node.history = shift_history(h_prev, b_new)
         if i in actions:
-            r = reward(h_prev[-1], b_new, cap)
+            r = reward(b_new)
             rewards[i] = r
             if learn:
                 if config.virtual_experience:
@@ -321,17 +310,17 @@ def train(
     return nodes, record
 
 
-def deployed_policies(nodes: list[NodeState], d: int) -> list[DegreeDistribution]:
-    """Per-node degree distributions extracted from trained tables.
+def deployed_policies(tables: list[QTable], d: int) -> list[DegreeDistribution]:
+    """Per-node degree distributions extracted from trained Q-tables.
 
-    A node with no recorded experience deploys the uniform distribution,
+    A table with no recorded experience deploys the uniform distribution,
     which is exactly what greedy play with uniform tie-breaking over an
     all-zero table produces.
     """
     policies = []
-    for node in nodes:
+    for table in tables:
         try:
-            policies.append(extract_policy(node.q, d))
+            policies.append(extract_policy(table, d))
         except NoExperienceError:
             policies.append(uniform_distribution(d))
     return policies

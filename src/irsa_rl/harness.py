@@ -139,6 +139,24 @@ def _cell_seed(master_seed: int, *parts: int) -> int:
     return int(_cell_rng(master_seed, *parts).integers(2**63))
 
 
+def _cell_throughput(
+    config: TrainConfig,
+    trials: int,
+    rng: np.random.Generator,
+    policies=None,
+) -> float:
+    """Mean per-slot throughput of one train -> deploy -> evaluate cell.
+
+    Without ``policies`` the cell trains ``config`` and deploys every node's
+    table; either way it then evaluates ``trials`` saturated frames on ``rng``.
+    """
+    if policies is None:
+        nodes, _ = train(config)
+        policies = deployed_policies([node.q for node in nodes], config.params.d)
+    counts = simulate_saturated(policies, config.n_slots, trials, rng)
+    return float(counts.mean() / config.n_slots)
+
+
 def _rep_throughput(
     variant: str,
     load: float,
@@ -149,30 +167,24 @@ def _rep_throughput(
     master_seed: int,
 ) -> float:
     """Mean per-slot throughput of one repetition (trials saturated frames)."""
-    vi = VARIANTS.index(variant)
-    rng = _cell_rng(master_seed, vi, round(load * 1000), n_slots, rep)
+    key = (VARIANTS.index(variant), round(load * 1000), n_slots, rep)
+    rng = _cell_rng(master_seed, *key)
     config = base.with_load(load, n_slots)
-    m = config.m
     if variant == "slotted_aloha":
-        counts = simulate_slotted_aloha(m, n_slots, trials, rng)
-    elif variant == "vanilla_irsa":
-        counts = simulate_saturated([BASELINE_IRSA] * m, n_slots, trials, rng)
-    elif variant == "random_strategy":
-        counts = simulate_saturated(
-            [uniform_distribution(config.params.d)] * m, n_slots, trials, rng
-        )
-    elif variant in ("dec_rl", "dec_rl_virtual"):
-        train_cfg = replace(
-            config,
-            virtual_experience=(variant == "dec_rl_virtual"),
-            seed=_cell_seed(master_seed, 1, vi, round(load * 1000), n_slots, rep),
-        )
-        nodes, _ = train(train_cfg)
-        policies = deployed_policies(nodes, config.params.d)
-        counts = simulate_saturated(policies, n_slots, trials, rng)
-    else:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    return float(counts.mean() / n_slots)
+        # simulate_saturated would draw degrees first: ALOHA keeps its own stream.
+        return float(simulate_slotted_aloha(config.m, n_slots, trials, rng).mean() / n_slots)
+    if variant == "vanilla_irsa":
+        return _cell_throughput(config, trials, rng, [BASELINE_IRSA] * config.m)
+    if variant == "random_strategy":
+        uniform = uniform_distribution(config.params.d)
+        return _cell_throughput(config, trials, rng, [uniform] * config.m)
+    # dec_rl and dec_rl_virtual: SweepSpec admits no other variant.
+    config = replace(
+        config,
+        virtual_experience=(variant == "dec_rl_virtual"),
+        seed=_cell_seed(master_seed, 1, *key),
+    )
+    return _cell_throughput(config, trials, rng)
 
 
 def _sweep_cell(args) -> tuple:
@@ -353,33 +365,19 @@ def compare_virtual(
     rows = []
     for virtual in (False, True):
         results = []
+        per_ep = config_factory(load, virtual=virtual, seed=0).iters_per_episode
         for requested in iteration_grid:
-            probe = config_factory(load, virtual=virtual, seed=0)
-            episodes = int(requested) // probe.iters_per_episode
-            actual = episodes * probe.iters_per_episode
+            episodes = int(requested) // per_ep
             vals = []
             for rep in range(repetitions):
+                key = (int(virtual), int(requested), rep)
                 cfg = replace(
-                    config_factory(
-                        load,
-                        virtual=virtual,
-                        seed=_cell_seed(
-                            master_seed, 4, int(virtual), int(requested), rep
-                        ),
-                    ),
+                    config_factory(load, virtual=virtual, seed=_cell_seed(master_seed, 4, *key)),
                     episodes=episodes,
                 )
-                nodes, _ = train(cfg)
-                policies = deployed_policies(nodes, cfg.params.d)
-                rng = _cell_rng(master_seed, 5, int(virtual), int(requested), rep)
-                vals.append(
-                    float(
-                        simulate_saturated(policies, cfg.n_slots, trials, rng).mean()
-                        / cfg.n_slots
-                    )
-                )
+                vals.append(_cell_throughput(cfg, trials, _cell_rng(master_seed, 5, *key)))
             s = t_interval(vals)
-            results.append((int(requested), actual, s))
+            results.append((int(requested), episodes * per_ep, s))
         best = max(range(len(results)), key=lambda k: results[k][2].mean)
         for k, (requested, actual, s) in enumerate(results):
             rows.append(
@@ -420,25 +418,16 @@ def waterfall_suite(
         for load in loads:
             vals = []
             for rep in range(repetitions):
+                key = (si, round(load * 1000), rep)
                 cfg = replace(base.with_load(load), params=params or base.params)
-                m = cfg.m
-                rng = _cell_rng(master_seed, 6, si, round(load * 1000), rep)
+                policies = None
                 if params is None:
-                    counts = simulate_saturated(
-                        [uniform_distribution(base.params.d)] * m,
-                        cfg.n_slots,
-                        trials,
-                        rng,
-                    )
+                    policies = [uniform_distribution(cfg.params.d)] * cfg.m
                 else:
-                    train_cfg = replace(
-                        cfg,
-                        seed=_cell_seed(master_seed, 7, si, round(load * 1000), rep),
-                    )
-                    nodes, _ = train(train_cfg)
-                    policies = deployed_policies(nodes, params.d)
-                    counts = simulate_saturated(policies, cfg.n_slots, trials, rng)
-                vals.append(float(counts.mean() / cfg.n_slots))
+                    cfg = replace(cfg, seed=_cell_seed(master_seed, 7, *key))
+                vals.append(
+                    _cell_throughput(cfg, trials, _cell_rng(master_seed, 6, *key), policies)
+                )
             summaries[(scheme, load)] = t_interval(vals, level)
     for load in loads:
         winner = max(schemes, key=lambda s: summaries[(s, load)].mean)

@@ -10,7 +10,7 @@ reconstructed successor and reward, keyed to its own absolute levels.
 
 from functools import lru_cache
 
-from .agent import History, LearningParams, QTable, q_update
+from .agent import History, LearningParams, QTable, q_update, reward
 
 __all__ = [
     "VirtualKey",
@@ -79,7 +79,7 @@ def batch_update(
     The observed transition contributes one shared quantity: the newest
     buffer difference c of ``h_next``. Each member's successor appends its
     own newest level minus c; members whose successor level would leave
-    [0, B] are skipped. The finite-buffer reward depends on the absolute
+    [0, B] are skipped. The reward depends on the absolute
     level, so each member is rewarded with minus its own successor level
     (for the visited history this reproduces ``r_observed``). Every member,
     the visited history included, is updated exactly once with its own
@@ -101,7 +101,7 @@ def _moves(key: VirtualKey, c_next: int, B: int, w: int) -> tuple:
     for member in enumerate_class(key, B, w):
         successor_level = member[-1] - c_next
         if 0 <= successor_level <= B:
-            moves.append((member, member[1:] + (successor_level,), float(-successor_level)))
+            moves.append((member, member[1:] + (successor_level,), reward(successor_level)))
     return tuple(moves)
 
 

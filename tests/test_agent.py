@@ -110,13 +110,17 @@ def test_select_action_range_fuzz():
 
 
 def test_reward_finite_buffer():
-    assert reward(2, 4, 5) == -4.0
-    assert reward(0, 0, 5) == 0.0
+    assert reward(4) == -4.0
+    assert reward(0) == 0.0
 
 
-def test_reward_infinite_buffer():
-    assert reward(3, 2, None) == 1.0
-    assert reward(3, 2, math.inf) == 1.0
+@pytest.mark.parametrize("field", ["w", "B", "d"])
+@pytest.mark.parametrize("value", [math.inf, 2.5], ids=["inf", "fraction"])
+def test_learning_params_reject_non_integer_sizes(field, value):
+    # an unbounded or fractional buffer used to pass here and fail later,
+    # inside training, with an OverflowError or float buffer levels
+    with pytest.raises(ValueError, match="integers"):
+        LearningParams(**{field: value})
 
 
 # --- q-update ---------------------------------------------------------------

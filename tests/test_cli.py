@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from irsa_rl import config as configmod
 from irsa_rl.cli import main
 from irsa_rl.config import build_sweep_spec, build_train_config, parse_config_file
 from irsa_rl.env import ConfigurationError
@@ -70,6 +71,45 @@ def test_parse_config_rejects_bad_value(tmp_path):
     path = write_config(tmp_path, "load = fast\n")
     with pytest.raises(ConfigurationError):
         build_train_config(parse_config_file(path))
+
+
+# One non-default value per recognised key.
+_NON_DEFAULT_VALUES = {
+    "n_slots": "20",
+    "load": "0.7",
+    "n_nodes": "3",
+    "episodes": "7",
+    "iters_per_episode": "11",
+    "virtual_experience": "true",
+    "arrival_kind": "poisson",
+    "arrival_param": "0.25",
+    "seed": "9",
+    "buffer": "6",
+    "window": "3",
+    "max_replicas": "5",
+    "epsilon": "0.1",
+    "gamma": "0.9",
+    "alpha_base": "1.5",
+    "alpha_decay": "0.8",
+    "alpha_schedule": "polynomial",
+    "phi": "0.7",
+    "loads": "0.2, 0.4",
+    "frame_sizes": "12",
+    "variants": "dec_rl",
+    "repetitions": "3",
+    "trials": "40",
+    "ci_level": "0.9",
+}
+
+
+def test_every_config_key_changes_the_built_config():
+    # a key that is parsed but reaches neither the run nor the sweep
+    # configuration would leave both equal to the defaults
+    assert set(_NON_DEFAULT_VALUES) == configmod._ALL_KEYS
+    defaults = (build_train_config({}), build_sweep_spec({}))
+    for key, value in _NON_DEFAULT_VALUES.items():
+        values = {key: value}
+        assert (build_train_config(values), build_sweep_spec(values)) != defaults, key
 
 
 def test_config_seed_override(tmp_path):
@@ -153,6 +193,28 @@ def test_cli_unknown_variant_is_config_error(tmp_path, capsys):
     payload = json.loads(err.splitlines()[-1])
     assert payload["kind"] == "configuration"
     assert "hovercraft" in payload["error"]
+
+
+def test_cli_rejects_load_schedule_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, "load = 0.5\nload_schedule = 0:0.5, 25:0.9\n")
+    out = str(tmp_path / "x")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "configuration"
+    assert "load_schedule" in payload["error"]
+    assert not os.path.exists(out)
+
+
+def test_cli_virtual_compare_rejects_zero_load(tmp_path, capsys):
+    # an explicit node count lets load = 0 through TrainConfig; the run
+    # must fail on it instead of silently measuring some other load
+    cfg = write_config(tmp_path, "load = 0\nn_nodes = 7\n")
+    out = str(tmp_path / "vc")
+    assert main(["virtual-compare", "--config", cfg, "--out", out,
+                 "--reps", "1", "--trials", "5"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "configuration"
+    assert not os.path.exists(out)
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

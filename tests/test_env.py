@@ -335,7 +335,7 @@ def test_evaluate_throughput_bounded_by_load():
 def test_evaluate_per_node_policies_and_greedy_agents():
     cfg = TrainConfig(load=0.5, episodes=10, seed=13)
     nodes, _ = train(cfg)
-    pols = deployed_policies(nodes, cfg.params.d)
+    pols = deployed_policies([n.q for n in nodes], cfg.params.d)
     assert len(pols) == cfg.m
     s1 = evaluate(pols, cfg, trials=500, rng=np.random.default_rng(14))
     s2 = evaluate(nodes, cfg, trials=500, rng=np.random.default_rng(15))
@@ -352,7 +352,7 @@ def test_evaluate_rejects_bad_policy_shapes():
 
 def test_untrained_agents_deploy_uniform_policy():
     cfg = TrainConfig(load=0.5)
-    pols = deployed_policies(new_nodes(cfg), cfg.params.d)
+    pols = deployed_policies([n.q for n in new_nodes(cfg)], cfg.params.d)
     for p in pols:
         assert np.allclose(p.coeffs, 1 / cfg.params.d)
 

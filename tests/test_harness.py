@@ -1,4 +1,5 @@
 from dataclasses import replace
+import hashlib
 import math
 import os
 
@@ -9,6 +10,7 @@ from irsa_rl.core import slotted_aloha_throughput
 from irsa_rl.env import ConfigurationError, TrainConfig
 from irsa_rl.harness import (
     HIGH_LOAD_PARAMS,
+    VARIANTS,
     SweepSpec,
     compare_virtual,
     convergence_config,
@@ -302,6 +304,44 @@ def test_loads_sharing_a_seed_key_are_rejected():
         waterfall_suite(loads, TrainConfig(episodes=1), repetitions=1, trials=1)
     # a repeated load is the same cell, not a collision
     assert SweepSpec(loads=(0.5, 0.5)).loads == (0.5, 0.5)
+
+
+# Digests of three small experiments: every sweep variant, the training-length
+# ablation and the waterfall study. Any change to a cell's seed key, an RNG
+# draw or the train -> deploy -> evaluate arithmetic moves them; a refactor of
+# the experiment plumbing must leave them alone.
+_PINNED_EXPERIMENTS = {
+    "sweep": "476e14db75e4a3b5456ec6b63a133a7473ada6ec8d2e4b6695cab2e0c86e4349",
+    "compare_virtual": "b42458d1c84d8df0fcbda0fc7e3ec7abdb150848006f92712580684d747fdd58",
+    "waterfall": "cfd222565a9c069bac04effb605bc0f6fccf85ed7036051280700cf8250b2430",
+}
+
+
+def _rows_digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_experiment_streams_are_pinned():
+    short = TrainConfig(episodes=2, iters_per_episode=10)
+    sweep = run_sweep(
+        SweepSpec(loads=(0.5, 1.0), frame_sizes=(10, 20), variants=VARIANTS,
+                  repetitions=2, trials=20),
+        short,
+        master_seed=5,
+    )
+    compare = compare_virtual(
+        0.7, iteration_grid=(0, 10, 25), repetitions=2, trials=20,
+        master_seed=6, config_factory=_short_convergence,
+    )
+    waterfall = waterfall_suite(
+        loads=(0.3, 0.9), base=short, repetitions=2, trials=20, master_seed=7
+    )
+    digests = {
+        "sweep": _rows_digest(sweep),
+        "compare_virtual": _rows_digest(compare),
+        "waterfall": _rows_digest(waterfall),
+    }
+    assert digests == _PINNED_EXPERIMENTS
 
 
 def test_high_load_preset_caps_replicas():
