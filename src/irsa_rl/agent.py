@@ -68,7 +68,7 @@ class LearningParams:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.alpha_base <= 0 or not 0.0 < self.alpha_decay <= 1.0:
+        if not self.alpha_base > 0 or not 0.0 < self.alpha_decay <= 1.0:
             raise ValueError("alpha schedule must be positive and non-increasing")
         if not all(isinstance(v, int) for v in (self.w, self.B, self.d)):
             raise ValueError("w, B and d must be integers")

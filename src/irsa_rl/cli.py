@@ -1,10 +1,10 @@
 """Command-line front end for the simulator and experiment suite."""
 
 import argparse
-from dataclasses import replace
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .env import (
     train,
 )
 from .harness import (
-    SweepSpec,
     compare_virtual,
     convergence_report,
     emit_report,
@@ -37,43 +36,48 @@ from .harness import (
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends every argument error through the JSON error contract (exit 2)."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_config(args) -> tuple[dict, TrainConfig]:
+    """The config file's values and the run configuration built from them.
+
+    A given flag that names a config key and has no default in the
+    subcommand's table overrides that key.
+    """
     values = configmod.parse_config_file(args.config) if args.config else {}
-    cfg = configmod.build_train_config(values, seed=args.seed)
-    return values, cfg
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="key-value config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--variant", default=None)
-
-
-def _master_seed(args, cfg) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+    for flag, default in _COMMANDS[args.command].flags.items():
+        key, value = _FLAGS[flag][1], getattr(args, flag)
+        if key and default is None and value is not None:
+            values[key] = str(value)
+    return values, configmod.build_train_config(values)
 
 
 def cmd_baseline(args) -> int:
     _, cfg = _load_config(args)
-    seed = _master_seed(args, cfg)
-    trials = args.trials or 100_000
     rows = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     for load in (0.2, 0.5, 1.0):
         n_slots = 1000
         m = round(load * n_slots)
-        counts = simulate_slotted_aloha(m, n_slots, trials, rng)
+        counts = simulate_slotted_aloha(m, n_slots, args.trials, rng)
         simulated = counts.mean() / n_slots
         analytic = slotted_aloha_throughput(load)
         rows.append(
             {
                 "load": load,
                 "n_slots": n_slots,
-                "frames": trials,
+                "frames": args.trials,
                 "simulated": float(simulated),
                 "analytic": analytic,
                 "rel_error": float(abs(simulated - analytic) / analytic),
@@ -119,23 +123,33 @@ def _policy_from_variant(variant: str, cfg: TrainConfig):
     raise ConfigurationError(f"unknown policy variant {variant!r}")
 
 
+def _load_checkpoint(path: str, d: int) -> QTable:
+    """One node's trained table; a malformed file, or one with actions the
+    config's replica cap d would silently drop, is a configuration error."""
+    try:
+        table = QTable.load(path)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad q-table checkpoint {path!r}: {exc}") from exc
+    wide = max((a for _, a, _, _ in table.items()), default=0)
+    if wide > d:
+        raise ConfigurationError(
+            f"q-table checkpoint {path!r} has action {wide} above max_replicas = {d}"
+        )
+    return table
+
+
 def cmd_eval(args) -> int:
     _, cfg = _load_config(args)
-    trials = args.trials or 1000
+    d = cfg.params.d
     if args.qtables:
-        tables = []
-        for i in range(cfg.m):
-            path = os.path.join(args.qtables, f"node_{i:03d}.qtable")
-            try:
-                tables.append(QTable.load(path))
-            except ValueError as exc:
-                raise ConfigurationError(f"bad q-table checkpoint {path!r}: {exc}") from exc
-        policy = deployed_policies(tables, cfg.params.d)
+        tables = [
+            _load_checkpoint(os.path.join(args.qtables, f"node_{i:03d}.qtable"), d)
+            for i in range(cfg.m)
+        ]
+        policy = deployed_policies(tables, d)
     else:
-        policy = _policy_from_variant(args.variant or "vanilla_irsa", cfg)
-    summary = evaluate(
-        policy, cfg, trials, rng=np.random.default_rng(_master_seed(args, cfg))
-    )
+        policy = _policy_from_variant(args.variant, cfg)
+    summary = evaluate(policy, cfg, args.trials, rng=np.random.default_rng(cfg.seed))
     print(
         f"throughput {summary.mean:.4f} +- {summary.stderr:.4f} "
         f"[{summary.ci_low:.4f}, {summary.ci_high:.4f}] at {summary.level:.1%} "
@@ -147,13 +161,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     values, cfg = _load_config(args)
     spec = configmod.build_sweep_spec(values)
-    if args.reps:
-        spec = replace(spec, repetitions=args.reps)
-    if args.trials:
-        spec = replace(spec, trials=args.trials)
-    if args.variant:
-        spec = replace(spec, variants=tuple(args.variant.split(",")))
-    rows = run_sweep(spec, cfg, _master_seed(args, cfg), workers=args.workers)
+    rows = run_sweep(spec, cfg, cfg.seed, workers=args.workers)
     table = [row.__dict__ for row in rows]
     emit_report({"sweep": table}, args.out)
     print(f"sweep: {len(rows)} rows -> {args.out}/sweep.csv")
@@ -169,14 +177,13 @@ def cmd_convergence(args) -> int:
         loads = configmod.build_sweep_spec(values).loads
     else:
         loads = (0.2, 0.4, 0.6, 0.7)
-    reps = args.reps or 40
     rows = []
     for virtual in (False, True):
         rows.extend(
             convergence_report(
                 loads,
-                repetitions=reps,
-                master_seed=_master_seed(args, cfg),
+                repetitions=args.reps,
+                master_seed=cfg.seed,
                 virtual=virtual,
             )
         )
@@ -191,9 +198,9 @@ def cmd_virtual_compare(args) -> int:
     rows = compare_virtual(
         load=cfg.load,
         iteration_grid=grid,
-        repetitions=args.reps or 10,
-        trials=args.trials or 400,
-        master_seed=_master_seed(args, cfg),
+        repetitions=args.reps,
+        trials=args.trials,
+        master_seed=cfg.seed,
     )
     best = {
         r["variant"]: r["actual_iters"] for r in rows if r["is_best"]
@@ -218,9 +225,10 @@ def cmd_waterfall(args) -> int:
     rows = waterfall_suite(
         spec.loads,
         cfg,
-        repetitions=args.reps or spec.repetitions,
-        trials=args.trials or spec.trials,
-        master_seed=_master_seed(args, cfg),
+        repetitions=spec.repetitions,
+        trials=spec.trials,
+        master_seed=cfg.seed,
+        level=spec.level,
     )
     by = {(r["scheme"], r["load"]): r for r in rows}
     checks = []
@@ -236,58 +244,85 @@ def cmd_waterfall(args) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    flags: dict  # flag -> default; None: unset, or the config key's value
+    exclusive: tuple = ()  # flags that cannot be given together
+
+
+# flag -> (add_argument keywords, the config key the flag overrides)
+_FLAGS = {
+    "config": ({"help": "key-value config file"}, None),
+    "seed": ({"type": int, "help": "master seed"}, "seed"),
+    "out": ({"help": "output directory"}, None),
+    "trials": ({"type": _positive_int, "help": "frames per evaluation"}, "trials"),
+    "reps": ({"type": _positive_int, "help": "repetitions per cell"}, "repetitions"),
+    "workers": ({"type": _positive_int, "help": "worker processes"}, None),
+    "variant": ({"help": "protocol variant (sweep: comma-separated list)"}, "variants"),
+    "qtables": ({"help": "directory of node_*.qtable checkpoints"}, None),
+}
+
+_RUN = {"config": None, "seed": None, "out": "results"}
+_COMMANDS = {
+    "baseline": _Command(
+        cmd_baseline, "slotted-ALOHA analytic vs simulated check",
+        {**_RUN, "trials": 100_000},
+    ),
+    "train": _Command(cmd_train, "train one configuration, save q-tables + trace", _RUN),
+    "eval": _Command(
+        cmd_eval, "evaluate a frozen policy",
+        {"config": None, "seed": None, "trials": 1000, "variant": "vanilla_irsa",
+         "qtables": None},
+        exclusive=("variant", "qtables"),
+    ),
+    "sweep": _Command(
+        cmd_sweep, "protocol comparison sweep",
+        {**_RUN, "trials": None, "reps": None, "workers": 1, "variant": None},
+    ),
+    "convergence": _Command(
+        cmd_convergence, "epsilon-convergence report per load", {**_RUN, "reps": 40}
+    ),
+    "virtual-compare": _Command(
+        cmd_virtual_compare, "throughput vs training length",
+        {**_RUN, "reps": 10, "trials": 400},
+    ),
+    "waterfall": _Command(
+        cmd_waterfall, "per-load best parameterization table",
+        {**_RUN, "reps": None, "trials": None},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irsa-rl",
         description="IRSA random-access simulation with decentralized Q-learning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("baseline", help="slotted-ALOHA analytic vs simulated check")
-    _add_common(p)
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("train", help="train one configuration, save q-tables + trace")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a frozen policy")
-    _add_common(p)
-    p.add_argument("--qtables", help="directory of node_*.qtable checkpoints")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="protocol comparison sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("convergence", help="epsilon-convergence report per load")
-    _add_common(p)
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("virtual-compare", help="throughput vs training length")
-    _add_common(p)
-    p.set_defaults(func=cmd_virtual_compare)
-
-    p = sub.add_parser("waterfall", help="per-load best parameterization table")
-    _add_common(p)
-    p.set_defaults(func=cmd_waterfall)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.set_defaults(func=command.handler)
+        group = p.add_mutually_exclusive_group()
+        for flag in command.flags:
+            target = group if flag in command.exclusive else p
+            target.add_argument(f"--{flag}", **_FLAGS[flag][0])
     return parser
 
 
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
-    if args.workers != 1 and args.command != "sweep":
-        raise ConfigurationError(
-            f"--workers applies only to sweep; {args.command} runs in one process"
-        )
+def _parse_args(argv=None) -> argparse.Namespace:
+    args = build_parser().parse_args(argv)
+    # Defaults go in after parsing: argparse counts a flag given with a value
+    # identical to its default as absent from a mutually exclusive group.
+    for flag, default in _COMMANDS[args.command].flags.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_workers(args)
+        args = _parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(json.dumps({"error": str(exc), "kind": "configuration"}), file=sys.stderr)

@@ -1,45 +1,69 @@
 """Key-value run configuration files.
 
 Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored. Lists are comma-separated. Recognized keys:
-
-  run:    n_slots, load, n_nodes, episodes, iters_per_episode,
-          virtual_experience, arrival_kind, arrival_param, seed
-  agent:  buffer, window, max_replicas, epsilon, gamma, alpha_base,
-          alpha_decay, alpha_schedule, phi
-  sweep:  loads, frame_sizes, variants, repetitions, trials, ci_level
+ignored. Lists are comma-separated. ``KEYS`` below is the one table of
+recognised keys: each maps to a field of ``TrainConfig``, ``ArrivalModel``,
+``LearningParams`` or ``SweepSpec`` and the parser of its value. A key that is
+absent leaves the dataclass default in place.
 """
 
 from .agent import LearningParams
 from .env import ArrivalModel, ConfigurationError, TrainConfig
 from .harness import SweepSpec
 
-__all__ = ["parse_config_file", "build_train_config", "build_sweep_spec"]
+__all__ = ["KEYS", "parse_config_file", "build_train_config", "build_sweep_spec"]
 
-_RUN_KEYS = {
-    "n_slots",
-    "load",
-    "n_nodes",
-    "episodes",
-    "iters_per_episode",
-    "virtual_experience",
-    "arrival_kind",
-    "arrival_param",
-    "seed",
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _list(cast):
+    def parse(raw: str) -> tuple:
+        raw = raw.strip()
+        return tuple(cast(part.strip()) for part in raw.split(",")) if raw else ()
+
+    return parse
+
+
+#: config key -> (dataclass, field, value parser)
+KEYS = {
+    # run
+    "n_slots": (TrainConfig, "n_slots", int),
+    "load": (TrainConfig, "load", float),
+    "n_nodes": (TrainConfig, "n_nodes", int),
+    "episodes": (TrainConfig, "episodes", int),
+    "iters_per_episode": (TrainConfig, "iters_per_episode", int),
+    "virtual_experience": (TrainConfig, "virtual_experience", _bool),
+    "arrival_kind": (ArrivalModel, "kind", str),
+    "arrival_param": (ArrivalModel, "param", float),
+    "seed": (TrainConfig, "seed", int),
+    # agent
+    "buffer": (LearningParams, "B", int),
+    "window": (LearningParams, "w", int),
+    "max_replicas": (LearningParams, "d", int),
+    "epsilon": (LearningParams, "epsilon", float),
+    "gamma": (LearningParams, "gamma", float),
+    "alpha_base": (LearningParams, "alpha_base", float),
+    "alpha_decay": (LearningParams, "alpha_decay", float),
+    "alpha_schedule": (LearningParams, "alpha_schedule", str),
+    "phi": (LearningParams, "phi", float),
+    # sweep
+    "loads": (SweepSpec, "loads", _list(float)),
+    "frame_sizes": (SweepSpec, "frame_sizes", _list(int)),
+    "variants": (SweepSpec, "variants", _list(str)),
+    "repetitions": (SweepSpec, "repetitions", int),
+    "trials": (SweepSpec, "trials", int),
+    "ci_level": (SweepSpec, "level", float),
 }
-_AGENT_KEYS = {
-    "buffer",
-    "window",
-    "max_replicas",
-    "epsilon",
-    "gamma",
-    "alpha_base",
-    "alpha_decay",
-    "alpha_schedule",
-    "phi",
-}
-_SWEEP_KEYS = {"loads", "frame_sizes", "variants", "repetitions", "trials", "ci_level"}
-_ALL_KEYS = _RUN_KEYS | _AGENT_KEYS | _SWEEP_KEYS
+_ALL_KEYS = frozenset(KEYS)
+
+# SweepSpec has no default load grid: G = 0.1, 0.2, ..., 1.0.
+_DEFAULT_LOADS = tuple(round(g * 0.1, 1) for g in range(1, 11))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -63,74 +87,31 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _get(values, key, cast, default):
-    if key not in values:
-        return default
-    raw = values[key]
+def _build(owner, values: dict[str, str], **fields):
+    """``owner`` built from the keys of ``values`` that map to it, plus ``fields``."""
+    for key, (cls, field, parse) in KEYS.items():
+        if cls is owner and key in values:
+            try:
+                fields[field] = parse(values[key])
+            except ValueError as exc:
+                raise ConfigurationError(f"bad value for {key!r}: {values[key]!r}") from exc
     try:
-        if cast is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {key!r}: {raw!r}") from exc
-
-
-def _get_list(values, key, cast, default):
-    if key not in values:
-        return default
-    raw = values[key].strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(cast(part.strip()) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad list value for {key!r}: {values[key]!r}") from exc
-
-
-def build_learning_params(values: dict[str, str]) -> LearningParams:
-    defaults = LearningParams()
-    return LearningParams(
-        epsilon=_get(values, "epsilon", float, defaults.epsilon),
-        gamma=_get(values, "gamma", float, defaults.gamma),
-        alpha_base=_get(values, "alpha_base", float, defaults.alpha_base),
-        alpha_decay=_get(values, "alpha_decay", float, defaults.alpha_decay),
-        w=_get(values, "window", int, defaults.w),
-        B=_get(values, "buffer", int, defaults.B),
-        d=_get(values, "max_replicas", int, defaults.d),
-        alpha_schedule=_get(values, "alpha_schedule", str, defaults.alpha_schedule),
-        phi=_get(values, "phi", float, defaults.phi),
-    )
+        return owner(**fields)
+    except ValueError as exc:  # LearningParams raises plain ValueErrors
+        raise ConfigurationError(str(exc)) from exc
 
 
 def build_train_config(values: dict[str, str], seed=None) -> TrainConfig:
-    defaults = TrainConfig()
-    arrivals = ArrivalModel(
-        kind=_get(values, "arrival_kind", str, defaults.arrivals.kind),
-        param=_get(values, "arrival_param", float, defaults.arrivals.param),
-    )
-    return TrainConfig(
-        n_slots=_get(values, "n_slots", int, defaults.n_slots),
-        load=_get(values, "load", float, defaults.load),
-        params=build_learning_params(values),
-        episodes=_get(values, "episodes", int, defaults.episodes),
-        iters_per_episode=_get(values, "iters_per_episode", int, defaults.iters_per_episode),
-        virtual_experience=_get(values, "virtual_experience", bool, defaults.virtual_experience),
-        arrivals=arrivals,
-        n_nodes=_get(values, "n_nodes", int, None),
-        seed=seed if seed is not None else _get(values, "seed", int, defaults.seed),
+    """The run configuration; ``seed``, when given, overrides the seed key."""
+    if seed is not None:
+        values = {**values, "seed": str(seed)}
+    return _build(
+        TrainConfig,
+        values,
+        params=_build(LearningParams, values),
+        arrivals=_build(ArrivalModel, values),
     )
 
 
 def build_sweep_spec(values: dict[str, str]) -> SweepSpec:
-    return SweepSpec(
-        loads=_get_list(values, "loads", float, tuple(round(g * 0.1, 1) for g in range(1, 11))),
-        frame_sizes=_get_list(values, "frame_sizes", int, (10,)),
-        variants=_get_list(values, "variants", str, ("slotted_aloha", "vanilla_irsa", "dec_rl")),
-        repetitions=_get(values, "repetitions", int, 20),
-        trials=_get(values, "trials", int, 250),
-        level=_get(values, "ci_level", float, 0.975),
-    )
+    return _build(SweepSpec, values, loads=_DEFAULT_LOADS)

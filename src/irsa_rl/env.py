@@ -71,8 +71,8 @@ class ArrivalModel:
             raise ConfigurationError(f"unknown arrival kind {self.kind!r}")
         if self.kind == "bernoulli" and not 0.0 <= self.param <= 1.0:
             raise ConfigurationError("bernoulli arrival probability must lie in [0, 1]")
-        if self.param < 0:
-            raise ConfigurationError("arrival parameter must be nonnegative")
+        if not 0.0 <= self.param < np.inf:
+            raise ConfigurationError("arrival parameter must be finite and nonnegative")
         if self.kind == "deterministic" and self.param != int(self.param):
             raise ConfigurationError("deterministic arrivals need an integer count")
 
@@ -110,6 +110,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_slots < 1:
             raise ConfigurationError("n_slots must be >= 1")
+        if not self.load < np.inf:
+            raise ConfigurationError("load must be finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.load <= 0 and self.n_nodes is None:
             raise ConfigurationError("load must be positive")
         if self.episodes < 0 or self.iters_per_episode < 0:
@@ -192,7 +196,6 @@ def step_frame(
     nodes: list[NodeState],
     config: TrainConfig,
     rng: np.random.Generator,
-    learn: bool = True,
 ) -> FrameResult:
     """Advance every node by one frame; mutates node state in place.
 
@@ -229,11 +232,10 @@ def step_frame(
         if i in actions:
             r = reward(b_new)
             rewards[i] = r
-            if learn:
-                if config.virtual_experience:
-                    batch_update(node.q, h_prev, actions[i], r, node.history, params)
-                else:
-                    q_update(node.q, h_prev, actions[i], r, node.history, params)
+            if config.virtual_experience:
+                batch_update(node.q, h_prev, actions[i], r, node.history, params)
+            else:
+                q_update(node.q, h_prev, actions[i], r, node.history, params)
     return FrameResult(
         rewards=rewards,
         throughput=len(outcome.decoded) / n_slots,
@@ -271,10 +273,7 @@ def new_nodes(config: TrainConfig) -> list[NodeState]:
     ]
 
 
-def train(
-    config: TrainConfig,
-    nodes: list[NodeState] | None = None,
-) -> tuple[list[NodeState], RunRecord]:
+def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
     """Run the full episodic learning loop.
 
     Buffers restart uniformly at each episode boundary; inside an episode a
@@ -283,17 +282,14 @@ def train(
     for a fixed config seed.
     """
     rng = np.random.default_rng(config.seed)
-    if nodes is None:
-        nodes = new_nodes(config)
-    elif len(nodes) != config.m:
-        raise ConfigurationError(f"expected {config.m} nodes, got {len(nodes)}")
+    nodes = new_nodes(config)
 
     record = RunRecord(config=config)
     for episode in range(config.episodes):
         reset_episode(nodes, config.params, rng)
         recent: list[float] = []
         for it in range(config.iters_per_episode):
-            result = step_frame(nodes, config, rng, learn=True)
+            result = step_frame(nodes, config, rng)
             mean_reward = float(result.rewards.mean())
             recent.append(mean_reward)
             resets = 0
@@ -326,24 +322,6 @@ def deployed_policies(tables: list[QTable], d: int) -> list[DegreeDistribution]:
     return policies
 
 
-def _evaluate_stochastic(policies, config, trials, rng, level) -> Summary:
-    counts = simulate_saturated(policies, config.n_slots, trials, rng)
-    return t_interval(counts / config.n_slots, level)
-
-
-def _evaluate_greedy(nodes, config, trials, rng, level) -> Summary:
-    greedy = replace(config.params, epsilon=0.0)
-    cfg = replace(config, params=greedy)
-    eval_nodes = [
-        NodeState(buffer=n.buffer, history=n.history, q=n.q) for n in nodes
-    ]
-    reset_episode(eval_nodes, cfg.params, rng)
-    samples = np.empty(trials)
-    for t in range(trials):
-        samples[t] = step_frame(eval_nodes, cfg, rng, learn=False).throughput
-    return t_interval(samples, level)
-
-
 def evaluate(
     policy,
     config: TrainConfig,
@@ -353,26 +331,22 @@ def evaluate(
 ) -> Summary:
     """Frozen-policy Monte Carlo throughput (no learning, no exploration).
 
-    ``policy`` is a DegreeDistribution shared by all nodes, a per-node
-    sequence of distributions, or a list of trained NodeState for per-state
-    greedy play. Distribution policies run saturated frames (every node
-    backlogged, one trial = one frame); greedy play runs the buffered
-    environment with exploration off, one trial = one frame of a single
-    continuing run.
+    ``policy`` is a DegreeDistribution shared by all nodes or a per-node
+    sequence of distributions (``deployed_policies`` turns trained Q-tables
+    into one). Every trial is one saturated frame: every node is backlogged
+    and draws its replica count from its distribution.
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if isinstance(policy, DegreeDistribution):
-        return _evaluate_stochastic([policy] * config.m, config, trials, rng, level)
-    policy = list(policy)
-    if policy and isinstance(policy[0], DegreeDistribution):
+        policy = [policy] * config.m
+    else:
+        policy = list(policy)
+        if not all(isinstance(p, DegreeDistribution) for p in policy):
+            raise ConfigurationError("policy must be a degree distribution or one per node")
         if len(policy) != config.m:
             raise ConfigurationError(f"expected {config.m} per-node policies")
-        return _evaluate_stochastic(policy, config, trials, rng, level)
-    if policy and isinstance(policy[0], NodeState):
-        if len(policy) != config.m:
-            raise ConfigurationError(f"expected {config.m} trained nodes")
-        return _evaluate_greedy(policy, config, trials, rng, level)
-    raise ConfigurationError("policy must be degree distribution(s) or trained nodes")
+    counts = simulate_saturated(policy, config.n_slots, trials, rng)
+    return t_interval(counts / config.n_slots, level)

@@ -89,8 +89,8 @@ class SweepSpec:
         # Materialise once: a generator would be exhausted by the checks below.
         for name in ("loads", "frame_sizes", "variants"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if any(g <= 0 for g in self.loads):
-            raise ConfigurationError("loads must be positive")
+        if not all(0 < g < np.inf for g in self.loads):
+            raise ConfigurationError("loads must be positive and finite")
         _check_load_keys(self.loads)
         if not self.variants:
             raise ConfigurationError("need at least one protocol variant")
@@ -101,6 +101,8 @@ class SweepSpec:
             raise ConfigurationError("frame sizes must be >= 1")
         if self.repetitions < 1 or self.trials < 1:
             raise ConfigurationError("repetitions and trials must be >= 1")
+        if not 0.0 < self.level < 1.0:
+            raise ConfigurationError("confidence level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

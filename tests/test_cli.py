@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 import os
 
 import pytest
 
-from irsa_rl import config as configmod
+from irsa_rl import cli, config as configmod
 from irsa_rl.cli import main
 from irsa_rl.config import build_sweep_spec, build_train_config, parse_config_file
 from irsa_rl.env import ConfigurationError
@@ -130,9 +131,7 @@ def test_cli_train_then_eval(tmp_path, capsys):
     header = open(os.path.join(out, "trace.csv")).readline().strip()
     assert header == "trial,episode,iteration,mean_reward,throughput,resets"
 
-    code = main(
-        ["eval", "--config", cfg, "--qtables", out, "--trials", "200", "--out", out]
-    )
+    code = main(["eval", "--config", cfg, "--qtables", out, "--trials", "200"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "throughput" in printed
@@ -141,7 +140,7 @@ def test_cli_train_then_eval(tmp_path, capsys):
 def test_cli_eval_named_variant(tmp_path, capsys):
     cfg = write_config(tmp_path, "load = 0.5\n")
     assert main(["eval", "--config", cfg, "--variant", "vanilla_irsa",
-                 "--trials", "300", "--out", str(tmp_path)]) == 0
+                 "--trials", "300"]) == 0
     assert "throughput" in capsys.readouterr().out
 
 
@@ -253,8 +252,7 @@ def test_cli_eval_bad_checkpoint_is_config_error(tmp_path, capsys, bad_line):
     qdir.mkdir()
     path = qdir / "node_000.qtable"
     path.write_text("0,0,0,0,1,-1.0,2\n" + bad_line + "\n")
-    code = main(["eval", "--config", cfg, "--qtables", str(qdir),
-                 "--trials", "10", "--out", str(tmp_path)])
+    code = main(["eval", "--config", cfg, "--qtables", str(qdir), "--trials", "10"])
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "configuration"
@@ -283,3 +281,165 @@ def test_cli_rejects_unusable_workers(tmp_path, capsys, argv):
     assert payload["kind"] == "configuration"
     assert "--workers" in payload["error"]
     assert not os.path.exists(out)  # rejected before any work
+
+
+def _config_error(capsys) -> dict:
+    """The JSON line of a configuration failure; nothing else on stderr."""
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err  # no usage text, no traceback
+    payload = json.loads(err)
+    assert payload["kind"] == "configuration"
+    return payload
+
+
+def test_cli_waterfall_reads_ci_level(tmp_path):
+    base = "loads = 0.3\nepisodes = 2\nrepetitions = 3\ntrials = 20\n"
+    tables = []
+    for name, extra in (("default", ""), ("narrow", "ci_level = 0.5\n")):
+        cfg = write_config(tmp_path, base + extra)
+        out = str(tmp_path / name)
+        assert main(["waterfall", "--config", cfg, "--out", out, "--seed", "4"]) == 0
+        with open(os.path.join(out, "waterfall.csv")) as fh:
+            tables.append(list(csv.DictReader(fh)))
+    default, narrow = tables
+    for wide, tight in zip(default, narrow):
+        assert tight["mean"] == wide["mean"]
+        width = float(wide["ci_high"]) - float(wide["ci_low"])
+        assert 0 < float(tight["ci_high"]) - float(tight["ci_low"]) < width
+
+
+def test_cli_eval_rejects_checkpoint_wider_than_max_replicas(tmp_path, capsys):
+    qdir = tmp_path / "tables"
+    qdir.mkdir()
+    path = qdir / "node_000.qtable"
+    path.write_text("0,0,0,0,1,-1.0,2\n0,0,0,0,6,-0.5,3\n")  # action 6
+    narrow = write_config(tmp_path, "load = 0.1\n")  # one node, d = 4
+    assert main(["eval", "--config", narrow, "--qtables", str(qdir),
+                 "--trials", "10"]) == 2
+    assert str(path) in _config_error(capsys)["error"]
+    wide = str(tmp_path / "wide.cfg")
+    with open(wide, "w") as fh:
+        fh.write("load = 0.1\nmax_replicas = 8\n")
+    assert main(["eval", "--config", wide, "--qtables", str(qdir),
+                 "--trials", "10"]) == 0
+
+
+# The flags each subcommand reads; it must reject every other flag.
+_ACCEPTED = {
+    "baseline": {"config", "seed", "out", "trials"},
+    "train": {"config", "seed", "out"},
+    "eval": {"config", "seed", "trials", "variant", "qtables"},
+    "sweep": {"config", "seed", "out", "trials", "reps", "workers", "variant"},
+    "convergence": {"config", "seed", "out", "reps"},
+    "virtual-compare": {"config", "seed", "out", "reps", "trials"},
+    "waterfall": {"config", "seed", "out", "reps", "trials"},
+}
+_ALL_FLAGS = set().union(*_ACCEPTED.values())
+
+
+def test_cli_flag_table():
+    assert {name: set(c.flags) for name, c in cli._COMMANDS.items()} == _ACCEPTED
+    assert sum(len(flags) for flags in _ACCEPTED.values()) == 33
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, flags in _ACCEPTED.items() for f in sorted(_ALL_FLAGS - flags)],
+)
+def test_cli_rejects_unread_flags(tmp_path, capsys, command, flag):
+    out = str(tmp_path / "x")
+    argv = [command, f"--{flag}", "1"]
+    if flag != "out" and "out" in _ACCEPTED[command]:
+        argv += ["--out", out]
+    assert main(argv) == 2
+    assert f"--{flag}" in _config_error(capsys)["error"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        (c, f, v)
+        for c, flags in _ACCEPTED.items()
+        for f in ("trials", "reps", "workers")
+        if f in flags
+        for v in ("0", "-1")
+    ]
+    + [("eval", "trials", "abc"), ("sweep", "reps", "2.5")],
+)
+def test_cli_rejects_non_positive_counts(tmp_path, capsys, command, flag, value):
+    out = str(tmp_path / "x")
+    argv = [command, f"--{flag}", value]
+    if "out" in _ACCEPTED[command]:
+        argv += ["--out", out]
+    assert main(argv) == 2
+    assert f"--{flag}" in _config_error(capsys)["error"]
+    assert not os.path.exists(out)
+
+
+def test_cli_eval_variant_and_qtables_are_exclusive(tmp_path, capsys):
+    assert main(["eval", "--variant", "vanilla_irsa", "--qtables", str(tmp_path)]) == 2
+    assert "--qtables" in _config_error(capsys)["error"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "epsilon = 2",
+        "alpha_schedule = cubic",
+        "window = 0",
+        "ci_level = 1.5",
+        "seed = -1",
+        "load = inf",
+        "loads = 0.3, nan",
+        "alpha_base = nan",
+        "arrival_kind = poisson\narrival_param = inf",
+    ],
+)
+def test_cli_bad_config_value_is_config_error(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, "loads = 0.3\nepisodes = 1\n" + line + "\n")
+    out = str(tmp_path / "x")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    _config_error(capsys)
+    assert not os.path.exists(out)
+
+
+# sha256 of the CSV each small run writes, computed before the flag and
+# config-key tables replaced the per-handler fallbacks.
+_PINNED_RUNS = {
+    "sweep": (
+        "sweep.csv",
+        "loads = 0.3, 0.6\nepisodes = 2\nrepetitions = 5\ntrials = 500\n"
+        "variants = slotted_aloha, vanilla_irsa, dec_rl, dec_rl_virtual, random_strategy\n",
+        ["--seed", "5", "--reps", "2", "--trials", "20"],
+        "b5e1c2c781bd5bc6e08724582b777e9fe46d8c1bd12028a4b3fb1379b2ecd5f1",
+    ),
+    "waterfall": (
+        "waterfall.csv",
+        "loads = 0.3, 0.6\nepisodes = 2\n",
+        ["--seed", "5", "--reps", "2", "--trials", "20"],
+        "bf72408cf2f22734b7e7361f30b49c8b4f3d2091c91e6e5811bd42c5fb6ac353",
+    ),
+    "train": (
+        "trace.csv",
+        "load = 0.5\nepisodes = 3\nseed = 1\n",
+        [],
+        "43ab21173a9974fcb3413b2f612a77d3dae09da1025e29ec2895fab4dd669808",
+    ),
+    "baseline": (
+        "baseline.csv",
+        "",
+        ["--seed", "5", "--trials", "2000"],
+        "b86ff064aa25d37b49e60c8b287b8d620f49bed724d792cb37ed45171be9eecd",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_RUNS))
+def test_cli_outputs_are_pinned(tmp_path, command):
+    csv_name, text, flags, digest = _PINNED_RUNS[command]
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / command)
+    assert main([command, "--config", cfg, "--out", out] + flags) == 0
+    with open(os.path.join(out, csv_name), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest

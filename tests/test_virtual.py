@@ -266,7 +266,7 @@ def visit_model():
         for _ in range(cfg.iters_per_episode):
             before = [n.history for n in nodes]
             active = [i for i, n in enumerate(nodes) if n.buffer > 0]
-            step_frame(nodes, cfg, rng, learn=True)
+            step_frame(nodes, cfg, rng)
             for i in active:
                 counts[before[i]] = counts.get(before[i], 0) + 1
     return params, counts
