@@ -23,7 +23,7 @@ from .agent import (
     reward,
     select_action,
 )
-from .virtual import batch_update, coverage_time, enumerate_class, transform
+from .virtual import batch_update, enumerate_class, transform
 from .env import (
     ArrivalModel,
     ConfigurationError,

@@ -23,8 +23,6 @@ phi in (0.5, 1]) when the guarantee matters more than the tuned schedule.
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .core import DegreeDistribution
 
 __all__ = [
@@ -228,16 +226,23 @@ def select_action(
     q: QTable,
     h: History,
     params: LearningParams,
-    rng: np.random.Generator,
+    u_explore: float,
+    u_pick: float,
 ) -> int:
-    """Epsilon-greedy replica count: explore uniformly over {1..d}, otherwise
-    play a greedy action with uniform random tie-breaking."""
-    if params.epsilon > 0.0 and rng.random() < params.epsilon:
-        return int(rng.integers(1, params.d + 1))
-    ties = q.greedy_actions(h, params.d)
+    """Epsilon-greedy replica count from two uniforms on [0, 1).
+
+    ``u_explore < epsilon`` explores: ``u_pick`` picks uniformly over {1..d}.
+    Otherwise the node plays a greedy action and ``u_pick`` breaks ties
+    uniformly. The caller draws both uniforms, so how many numbers a frame
+    draws does not depend on the table.
+    """
+    d = params.d
+    if u_explore < params.epsilon:
+        return int(u_pick * d) + 1
+    ties = q.greedy_actions(h, d)
     if len(ties) == 1:
         return ties[0]
-    return ties[int(rng.integers(len(ties)))]
+    return ties[int(u_pick * len(ties))]
 
 
 def reward(b_now: int) -> float:

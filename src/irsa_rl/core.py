@@ -8,15 +8,24 @@ interference cancellation, zero noise, and ideal side information about
 where a decoded user's replicas sit). Peeling repeats to a fixed point.
 
 There are two decoders, one per call shape. ``_peel`` peels one frame held
-as a user -> slot-set mapping; ``sic_decode`` and ``simulate_frame`` (the
-training frame) use it. ``_peel_frames`` peels a whole (frames, users, slots)
-incidence tensor at once; ``simulate_saturated`` uses it. Both keep the same
-fixed point and pass count. The kernel does not take the single-frame
-path, because it loses at one frame: for one frame of 10 users in 10 slots,
-``FrameOccupancy`` + ``_peel`` took 29 us and building the incidence tensor
-+ ``_peel_frames`` 61 us (median of 50 frames, 2-core x86 host; an earlier
-bool-tensor form measured 81 us against 53 us). On a batch it wins:
-``simulate_saturated`` spends about 5 us per 10 x 10 frame instead of 24 us.
+as a user -> slot-list mapping; ``simulate_frame`` (the training frame,
+called once per frame by ``env.step_frame``) and ``sic_decode`` use it.
+``_peel_frames`` peels a whole (frames, users, slots) incidence tensor at
+once; ``simulate_saturated`` uses it. Both keep the same fixed point and pass
+count. The kernel does not take the single-frame path, because it loses at
+one frame: for one frame of 10 users in 10 slots, ``FrameOccupancy`` +
+``_peel`` took 29 us and building the incidence tensor + ``_peel_frames``
+61 us (median of 50 frames, 2-core x86 host; an earlier bool-tensor form
+measured 81 us against 53 us). On a batch it wins: ``simulate_saturated``
+spends about 5 us per 10 x 10 frame instead of 24 us.
+
+Both hot paths place replicas by argsort: the argsort of a row of N iid
+uniforms is a uniform random permutation of the slots, and its first l
+entries are a uniform l-subset. ``simulate_saturated`` ranks whole chunks
+this way; ``env.step_frame`` ranks one row per node of its per-frame draw
+block and hands the prefixes to ``simulate_frame``, which builds no
+``FrameOccupancy``. ``place_replicas``, ``FrameOccupancy`` and
+``sic_decode`` are the reference path that tests decode against.
 
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
@@ -162,7 +171,7 @@ def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[
 
 
 def _peel(bursts: dict, n_slots: int) -> tuple[set, int]:
-    """Peeling fixed point over a user -> slot-set mapping.
+    """Peeling fixed point over a user -> slots mapping.
 
     Each pass decodes every currently-singleton slot's user, then cancels all
     replicas of the newly decoded users. Only productive passes are counted,
@@ -221,20 +230,16 @@ def sic_decode(frame: FrameOccupancy) -> DecodeOutcome:
     return DecodeOutcome(decoded=frozenset(decoded), iterations=passes)
 
 
-def simulate_frame(
-    users: list[tuple[int, int]],
-    n_slots: int,
-    rng: np.random.Generator,
-) -> tuple[dict[int, bool], DecodeOutcome]:
-    """Place replicas for every (user id, degree) pair and decode the frame.
+def simulate_frame(bursts: dict, n_slots: int) -> DecodeOutcome:
+    """Decode one frame of placed replicas: ``bursts`` maps each user to the
+    slots of its replicas (distinct slots in [0, n_slots)).
 
-    Returns a per-user success flag plus the full decode outcome. One frame
-    carries at most one packet per user, so per-user goodput is 0 or 1.
+    Unlike ``sic_decode`` it takes the mapping as it is, unvalidated; one
+    frame carries at most one packet per user, so a user's goodput is 1 if
+    it is in ``decoded`` and 0 otherwise.
     """
-    bursts = {uid: place_replicas(l, n_slots, rng) for uid, l in users}
-    outcome = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
-    success = {uid: uid in outcome.decoded for uid, _ in users}
-    return success, outcome
+    decoded, passes = _peel(bursts, n_slots)
+    return DecodeOutcome(decoded=frozenset(decoded), iterations=passes)
 
 
 def slotted_aloha_throughput(load: float) -> float:

@@ -6,6 +6,13 @@ decoded by SIC, successful nodes drain one packet, fresh arrivals land
 (usable from the next frame on, tail-dropped above capacity), histories
 shift, and rewards/Q-updates follow. Episodes restart buffers from a uniform
 initial distribution; learned tables always carry over.
+
+Every frame makes one fixed set of draws from the run's generator, whatever
+the nodes hold: one (m, N + 2) uniform block, then the m arrivals. Row i of
+the block belongs to node i: its epsilon test, its exploring pick or greedy
+tie-break, and N uniforms whose argsort ranks the slots for its replicas.
+Resets make their own draw. A run's stream therefore depends only on its
+seed, the frame index and its reset history.
 """
 
 from dataclasses import dataclass, field, replace
@@ -55,6 +62,12 @@ class ConfigurationError(ValueError):
     """Invalid run configuration."""
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: The largest mean numpy's ``Generator.poisson`` accepts; it rejects any
+#: larger one with "lam value too large".
+_POISSON_MAX_MEAN = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))
+
+
 @dataclass(frozen=True)
 class ArrivalModel:
     """Per-node i.i.d. packet arrivals per frame.
@@ -73,8 +86,12 @@ class ArrivalModel:
             raise ConfigurationError("bernoulli arrival probability must lie in [0, 1]")
         if not 0.0 <= self.param < np.inf:
             raise ConfigurationError("arrival parameter must be finite and nonnegative")
+        if self.kind == "poisson" and self.param > _POISSON_MAX_MEAN:
+            raise ConfigurationError(f"poisson arrival mean must be at most {_POISSON_MAX_MEAN!r}")
         if self.kind == "deterministic" and self.param != int(self.param):
             raise ConfigurationError("deterministic arrivals need an integer count")
+        if self.kind == "deterministic" and int(self.param) > _INT64_MAX:
+            raise ConfigurationError("deterministic arrival count must fit in an int64")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "bernoulli":
@@ -199,6 +216,13 @@ def step_frame(
 ) -> FrameResult:
     """Advance every node by one frame; mutates node state in place.
 
+    The frame draws, in this order and whatever the nodes hold: one
+    (m, N + 2) uniform block, then ``config.arrivals.sample(rng, m)``. Row i
+    of the block belongs to node i: column 0 is its epsilon test, column 1
+    its exploring pick or greedy tie-break (both go to ``select_action``),
+    and the argsort of columns 2.. ranks the slots, so its a replicas sit in
+    its first min(a, N) ranks. Rows of silent nodes go unused.
+
     Nodes with an empty buffer stay silent: they get reward 0 and no
     Q-update for the frame, but arrivals still land and their histories
     still shift.
@@ -206,24 +230,28 @@ def step_frame(
     params = config.params
     n_slots = config.n_slots
     cap = params.B
+    m = len(nodes)
 
-    actors = [i for i, node in enumerate(nodes) if node.buffer > 0]
-    # Replica counts above the frame size are truncated at placement: fewer
-    # distinct slots simply do not exist.
-    actions = {
-        i: select_action(nodes[i].q, nodes[i].history, params, rng) for i in actors
-    }
-    success, outcome = simulate_frame(
-        [(i, min(actions[i], n_slots)) for i in actors], n_slots, rng
-    )
-    assert sum(success.values()) == len(outcome.decoded)
+    block = rng.random((m, n_slots + 2))
+    arrivals = config.arrivals.sample(rng, m).tolist()
+    uniforms = block[:, :2].tolist()
+    # Only the first d ranks can hold a replica.
+    ranks = block[:, 2:].argsort(axis=1)[:, : params.d].tolist()
 
-    arrivals = config.arrivals.sample(rng, len(nodes))
-    rewards = np.zeros(len(nodes))
+    actions = {}
+    bursts = {}
+    for i, node in enumerate(nodes):
+        if node.buffer > 0:
+            a = select_action(node.q, node.history, params, *uniforms[i])
+            actions[i] = a
+            # The slice caps the replicas at min(a, N) distinct slots.
+            bursts[i] = ranks[i][:a]
+    decoded = simulate_frame(bursts, n_slots).decoded
+
+    rewards = np.zeros(m)
     dropped = 0
     for i, node in enumerate(nodes):
-        served = 1 if success.get(i, False) else 0
-        raw = node.buffer - served + int(arrivals[i])
+        raw = node.buffer - (i in decoded) + arrivals[i]
         b_new = min(raw, cap)
         dropped += raw - b_new
         h_prev = node.history
@@ -238,9 +266,9 @@ def step_frame(
                 q_update(node.q, h_prev, actions[i], r, node.history, params)
     return FrameResult(
         rewards=rewards,
-        throughput=len(outcome.decoded) / n_slots,
-        decoded=len(outcome.decoded),
-        transmitting=len(actors),
+        throughput=len(decoded) / n_slots,
+        decoded=len(decoded),
+        transmitting=len(bursts),
         dropped=dropped,
     )
 

@@ -1,8 +1,9 @@
 """Experiment suite: protocol sweeps, convergence timing, ablations, reports.
 
-Every experiment is deterministic under a master seed: each (variant, load,
-frame size, repetition) cell derives its own seed from the cell coordinates,
-so results are byte-identical regardless of execution order or worker count.
+Every experiment is deterministic under a master seed: each (experiment,
+variant, load, frame size, repetition) cell derives its own seed from the
+cell coordinates (``_cell_rng``), so results are byte-identical regardless of
+execution order or worker count, and distinct cells never share a stream.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -91,7 +92,6 @@ class SweepSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not all(0 < g < np.inf for g in self.loads):
             raise ConfigurationError("loads must be positive and finite")
-        _check_load_keys(self.loads)
         if not self.variants:
             raise ConfigurationError("need at least one protocol variant")
         for v in self.variants:
@@ -118,27 +118,33 @@ class SweepRow:
     ci_high: float
 
 
-def _check_load_keys(loads) -> None:
-    """Reject distinct loads that would share a cell seed key, round(load * 1000)."""
-    seen = {}
-    for load in loads:
-        other = seen.setdefault(round(load * 1000), load)
-        if other != load:
-            raise ConfigurationError(
-                f"loads {other!r} and {load!r} share one seed stream; "
-                "keep distinct loads at least 0.001 apart"
-            )
+#: Experiment tags, the first coordinate of every cell key: sweep
+#: evaluation and training, learning curves, their bootstrap, the
+#: training-length ablation's training and evaluation, and the waterfall
+#: study's evaluation and training.
+(_SWEEP, _SWEEP_TRAIN, _CURVE, _BOOTSTRAP, _ABLATION_TRAIN, _ABLATION_EVAL,
+ _WATERFALL_EVAL, _WATERFALL_TRAIN) = range(8)
 
 
-def _cell_rng(master_seed: int, *parts: int) -> np.random.Generator:
-    """Generator keyed purely by (master seed, cell coordinates)."""
+def _cell_rng(
+    master_seed: int, tag: int, variant: int, load: float, n: int, rep: int
+) -> np.random.Generator:
+    """Generator of one cell, keyed by seven 32-bit words: the master seed,
+    the experiment tag, the variant, the load's float64 bits as two words,
+    n and the repetition. n is the frame size, except in the training-length
+    ablation, where it is the training length (and 0 where an experiment
+    has neither). Every key has this one layout, so distinct cells never
+    share a stream."""
+    bits = int(np.float64(load).view(np.uint64))
+    key = (master_seed, tag, variant, bits, bits >> 32, n, rep)
     return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed) & 0xFFFFFFFF] + [int(p) & 0xFFFFFFFF for p in parts])
+        np.random.SeedSequence([int(word) & 0xFFFFFFFF for word in key])
     )
 
 
-def _cell_seed(master_seed: int, *parts: int) -> int:
-    return int(_cell_rng(master_seed, *parts).integers(2**63))
+def _cell_seed(*key) -> int:
+    """A training seed drawn from the generator ``_cell_rng(*key)``."""
+    return int(_cell_rng(*key).integers(2**63))
 
 
 def _cell_throughput(
@@ -169,8 +175,8 @@ def _rep_throughput(
     master_seed: int,
 ) -> float:
     """Mean per-slot throughput of one repetition (trials saturated frames)."""
-    key = (VARIANTS.index(variant), round(load * 1000), n_slots, rep)
-    rng = _cell_rng(master_seed, *key)
+    coords = (VARIANTS.index(variant), load, n_slots, rep)
+    rng = _cell_rng(master_seed, _SWEEP, *coords)
     config = base.with_load(load, n_slots)
     if variant == "slotted_aloha":
         # simulate_saturated would draw degrees first: ALOHA keeps its own stream.
@@ -184,7 +190,7 @@ def _rep_throughput(
     config = replace(
         config,
         virtual_experience=(variant == "dec_rl_virtual"),
-        seed=_cell_seed(master_seed, 1, *key),
+        seed=_cell_seed(master_seed, _SWEEP_TRAIN, *coords),
     )
     return _cell_throughput(config, trials, rng)
 
@@ -277,7 +283,7 @@ def learning_curves(
         cfg = config_factory(
             load,
             virtual=virtual,
-            seed=_cell_seed(master_seed, 2, int(virtual), round(load * 1000), rep),
+            seed=_cell_seed(master_seed, _CURVE, int(virtual), load, 0, rep),
         )
         _, record = train(cfg)
         traces.append(record.episode_means())
@@ -318,7 +324,6 @@ def convergence_report(
     """Per-load convergence time of the averaged learning curve, with a
     bootstrap-over-repetitions confidence interval."""
     loads = tuple(loads)
-    _check_load_keys(loads)
     rows = []
     probe = config_factory(loads[0] if loads else 0.5, virtual=virtual, seed=0)
     per_ep = probe.iters_per_episode
@@ -327,7 +332,7 @@ def convergence_report(
             load, repetitions, master_seed, virtual, config_factory=config_factory
         )
         time_iters, nonconv = _curve_convergence_iters(curves, epsilon, per_ep)
-        boot_rng = _cell_rng(master_seed, 3, int(virtual), round(load * 1000))
+        boot_rng = _cell_rng(master_seed, _BOOTSTRAP, int(virtual), load, 0, 0)
         boots = []
         for _ in range(bootstrap):
             pick = boot_rng.integers(0, curves.shape[0], curves.shape[0])
@@ -372,12 +377,13 @@ def compare_virtual(
             episodes = int(requested) // per_ep
             vals = []
             for rep in range(repetitions):
-                key = (int(virtual), int(requested), rep)
+                coords = (int(virtual), load, int(requested), rep)
+                seed = _cell_seed(master_seed, _ABLATION_TRAIN, *coords)
                 cfg = replace(
-                    config_factory(load, virtual=virtual, seed=_cell_seed(master_seed, 4, *key)),
-                    episodes=episodes,
+                    config_factory(load, virtual=virtual, seed=seed), episodes=episodes
                 )
-                vals.append(_cell_throughput(cfg, trials, _cell_rng(master_seed, 5, *key)))
+                rng = _cell_rng(master_seed, _ABLATION_EVAL, *coords)
+                vals.append(_cell_throughput(cfg, trials, rng))
             s = t_interval(vals)
             results.append((int(requested), episodes * per_ep, s))
         best = max(range(len(results)), key=lambda k: results[k][2].mean)
@@ -408,7 +414,6 @@ def waterfall_suite(
     """Random strategy vs low-load-tuned vs high-load-tuned learners per load,
     plus the per-load envelope (best scheme) and winner flags."""
     loads = tuple(loads)
-    _check_load_keys(loads)
     schemes = {
         "random_strategy": None,
         "dec_rl_low": LOW_LOAD_PARAMS,
@@ -420,16 +425,15 @@ def waterfall_suite(
         for load in loads:
             vals = []
             for rep in range(repetitions):
-                key = (si, round(load * 1000), rep)
+                coords = (si, load, base.n_slots, rep)
                 cfg = replace(base.with_load(load), params=params or base.params)
                 policies = None
                 if params is None:
                     policies = [uniform_distribution(cfg.params.d)] * cfg.m
                 else:
-                    cfg = replace(cfg, seed=_cell_seed(master_seed, 7, *key))
-                vals.append(
-                    _cell_throughput(cfg, trials, _cell_rng(master_seed, 6, *key), policies)
-                )
+                    cfg = replace(cfg, seed=_cell_seed(master_seed, _WATERFALL_TRAIN, *coords))
+                rng = _cell_rng(master_seed, _WATERFALL_EVAL, *coords)
+                vals.append(_cell_throughput(cfg, trials, rng, policies))
             summaries[(scheme, load)] = t_interval(vals, level)
     for load in loads:
         winner = max(schemes, key=lambda s: summaries[(s, load)].mean)

@@ -18,7 +18,6 @@ __all__ = [
     "enumerate_class",
     "class_size_bound",
     "batch_update",
-    "coverage_time",
 ]
 
 #: Tuple of w-1 consecutive buffer differences, oldest first. Entry k is
@@ -103,29 +102,3 @@ def _moves(key: VirtualKey, c_next: int, B: int, w: int) -> tuple:
         if 0 <= successor_level <= B:
             moves.append((member, member[1:] + (successor_level,), reward(successor_level)))
     return tuple(moves)
-
-
-def coverage_time(trace, space_size: int):
-    """First iteration (1-based) by which ``space_size`` distinct
-    state-action pairs have been visited, or None if the trace never covers.
-
-    Each trace element is either a single (history, action) pair or an
-    iterable of pairs (a virtual-experience batch counts every member it
-    updated as visited).
-    """
-    if space_size < 1:
-        raise ValueError("space size must be >= 1")
-    seen = set()
-    for i, element in enumerate(trace, start=1):
-        if (
-            isinstance(element, tuple)
-            and len(element) == 2
-            and isinstance(element[0], tuple)
-            and isinstance(element[1], int)
-        ):
-            seen.add(element)
-        else:
-            seen.update(element)
-        if len(seen) >= space_size:
-            return i
-    return None

@@ -69,7 +69,7 @@ def test_select_action_greedy_picks_strict_max():
     q.record(h, 1, 0.5)
     p = LearningParams(epsilon=0.0)
     rng = np.random.default_rng(0)
-    assert all(select_action(q, h, p, rng) == 2 for _ in range(50))
+    assert all(select_action(q, h, p, *rng.random(2)) == 2 for _ in range(50))
 
 
 def test_select_action_pure_exploration_uniform():
@@ -78,7 +78,7 @@ def test_select_action_pure_exploration_uniform():
     p = LearningParams(epsilon=1.0)
     rng = np.random.default_rng(1)
     n = 100_000
-    draws = np.array([select_action(q, h, p, rng) for _ in range(n)])
+    draws = np.array([select_action(q, h, p, *rng.random(2)) for _ in range(n)])
     se = math.sqrt(0.25 * 0.75 / n)
     for a in range(1, 5):
         assert abs(np.mean(draws == a) - 0.25) < 3 * se
@@ -90,7 +90,7 @@ def test_select_action_tie_break_uniform_on_empty_table():
     p = LearningParams(epsilon=0.0)
     rng = np.random.default_rng(2)
     n = 100_000
-    draws = np.array([select_action(q, h, p, rng) for _ in range(n)])
+    draws = np.array([select_action(q, h, p, *rng.random(2)) for _ in range(n)])
     se = math.sqrt(0.25 * 0.75 / n)
     for a in range(1, 5):
         assert abs(np.mean(draws == a) - 0.25) < 3 * se
@@ -103,7 +103,7 @@ def test_select_action_range_fuzz():
         p = LearningParams(epsilon=0.3, d=d)
         for _ in range(500):
             h = tuple(int(x) for x in rng.integers(0, 6, size=4))
-            assert 1 <= select_action(q, h, p, rng) <= d
+            assert 1 <= select_action(q, h, p, *rng.random(2)) <= d
 
 
 # --- reward -----------------------------------------------------------------

@@ -404,27 +404,45 @@ def test_cli_bad_config_value_is_config_error(tmp_path, capsys, line):
     assert not os.path.exists(out)
 
 
-# sha256 of the CSV each small run writes, computed before the flag and
-# config-key tables replaced the per-handler fallbacks.
+@pytest.mark.parametrize(
+    "kind,param", [("poisson", "1e19"), ("poisson", "9.3e18"), ("deterministic", "1e19")]
+)
+def test_cli_arrival_param_too_large_is_config_error(tmp_path, capsys, kind, param):
+    # numpy rejects such a Poisson mean ("lam value too large") and cannot
+    # hold such a count in an int64 (OverflowError); train used to die there,
+    # at the first arrival draw.
+    cfg = write_config(
+        tmp_path,
+        "episodes = 1\niters_per_episode = 1\n"
+        f"arrival_kind = {kind}\narrival_param = {param}\n",
+    )
+    out = str(tmp_path / "x")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    _config_error(capsys)
+    assert not os.path.exists(out)
+
+
+# sha256 of the CSV each small run writes, computed on the stream of one
+# fixed draw block per training frame and the float64-bit cell keys.
 _PINNED_RUNS = {
     "sweep": (
         "sweep.csv",
         "loads = 0.3, 0.6\nepisodes = 2\nrepetitions = 5\ntrials = 500\n"
         "variants = slotted_aloha, vanilla_irsa, dec_rl, dec_rl_virtual, random_strategy\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "b5e1c2c781bd5bc6e08724582b777e9fe46d8c1bd12028a4b3fb1379b2ecd5f1",
+        "e8b4e4d74dc25f75f6a6f3f0cf4aecf6743adc76d9a7ba48c14ff909d8d69a9d",
     ),
     "waterfall": (
         "waterfall.csv",
         "loads = 0.3, 0.6\nepisodes = 2\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "bf72408cf2f22734b7e7361f30b49c8b4f3d2091c91e6e5811bd42c5fb6ac353",
+        "dea7ab011ac730d39a7c6829420c02c6b5670db4ccddcb9e8b7289b4c73c3a02",
     ),
     "train": (
         "trace.csv",
         "load = 0.5\nepisodes = 3\nseed = 1\n",
         [],
-        "43ab21173a9974fcb3413b2f612a77d3dae09da1025e29ec2895fab4dd669808",
+        "b10477e6ab07b3028595ba8369c34fe91abe09b8e2ec97156e879c0f0d0849fc",
     ),
     "baseline": (
         "baseline.csv",

@@ -209,21 +209,14 @@ def test_sic_matches_all_orders_on_random_frames():
 def test_simulate_frame_single_user_always_succeeds():
     rng = np.random.default_rng(8)
     for l in (1, 3, 8):
-        success, out = simulate_frame([("u", l)], 10, rng)
-        assert success["u"] and out.decoded == {"u"}
+        out = simulate_frame({"u": place_replicas(l, 10, rng)}, 10)
+        assert out.decoded == {"u"}
 
 
 def test_simulate_frame_total_collision():
     rng = np.random.default_rng(9)
-    success, out = simulate_frame([(0, 10), (1, 10)], 10, rng)
-    assert not any(success.values())
+    out = simulate_frame({0: place_replicas(10, 10, rng), 1: place_replicas(10, 10, rng)}, 10)
     assert out.decoded == frozenset()
-
-
-def test_simulate_frame_propagates_placement_error():
-    rng = np.random.default_rng(10)
-    with pytest.raises(ValueError):
-        simulate_frame([(0, 11)], 10, rng)
 
 
 def test_pure_aloha_matches_finite_formula():
@@ -258,7 +251,7 @@ def test_simulate_saturated_matches_per_frame_simulation():
     total = 0
     for _ in range(frames):
         users = [(u, min(sample_degree(BASELINE_IRSA, rng2), n)) for u in range(m)]
-        _, out = simulate_frame(users, n, rng2)
+        out = simulate_frame({u: place_replicas(l, n, rng2) for u, l in users}, n)
         total += len(out.decoded)
     looped = total / frames / n
     assert abs(batched - looped) < 0.01
@@ -278,6 +271,15 @@ def test_peel_frames_matches_sic_decode_on_every_frame(n_users, n_slots):
         out = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
         assert set(np.flatnonzero(decoded[i])) == set(out.decoded)
         assert passes[i] == out.iterations
+
+
+@pytest.mark.parametrize("n_users,n_slots", [(3, 4), (4, 3)])
+def test_simulate_frame_matches_sic_decode_on_every_frame(n_users, n_slots):
+    # The training frame hands simulate_frame slot lists, unvalidated.
+    for bursts in enumerate_frames(n_users, n_slots):
+        got = simulate_frame({u: sorted(slots) for u, slots in bursts.items()}, n_slots)
+        ref = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
+        assert got == ref
 
 
 def _replay_saturated(policies, n_slots, n_frames, seed):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from irsa_rl import env
 from irsa_rl.agent import LearningParams, QTable, initial_history
-from irsa_rl.core import BASELINE_IRSA, PURE_ALOHA, simulate_saturated
+from irsa_rl.core import BASELINE_IRSA, PURE_ALOHA, simulate_frame, simulate_saturated
 from irsa_rl.env import (
     ArrivalModel,
     ConfigurationError,
@@ -53,6 +54,44 @@ def test_arrival_model_validation():
         ArrivalModel("uniform", 0.5)
     with pytest.raises(ConfigurationError):
         ArrivalModel("deterministic", 1.5)
+
+
+@pytest.mark.parametrize(
+    "kind,param", [("poisson", 1e19), ("deterministic", 1e19), ("deterministic", 2.0**63)]
+)
+def test_arrival_model_rejects_params_numpy_cannot_draw(kind, param):
+    # The Poisson mean used to pass and then raise "lam value too large" at
+    # the first draw; the counts raised OverflowError at construction.
+    with pytest.raises(ConfigurationError, match=kind):
+        ArrivalModel(kind, param)
+
+
+def test_arrival_model_accepts_largest_int64_count():
+    top = 2**63 - 1024  # the largest float64 below 2**63
+    sample = ArrivalModel("deterministic", float(top)).sample(np.random.default_rng(0), 2)
+    assert sample.tolist() == [top, top]
+
+
+def _poisson_accepts(mean) -> bool:
+    try:
+        np.random.default_rng(0).poisson(mean)
+    except ValueError:
+        return False
+    return True
+
+
+def test_poisson_arrival_limit_matches_numpy():
+    # Bisect numpy's largest accepted mean, then check both sides of it.
+    lo, hi = 9.2e18, 9.3e18
+    assert _poisson_accepts(lo) and not _poisson_accepts(hi)
+    while np.nextafter(lo, np.inf) < hi:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, np.inf)
+        lo, hi = (mid, hi) if _poisson_accepts(mid) else (lo, mid)
+    assert ArrivalModel("poisson", float(lo)).param == lo
+    with pytest.raises(ConfigurationError, match="poisson"):
+        ArrivalModel("poisson", float(hi))
 
 
 # --- config ------------------------------------------------------------------
@@ -146,6 +185,67 @@ def test_step_frame_throughput_accounting():
         res = step_frame(nodes, cfg, rng)
         assert res.throughput == res.decoded / cfg.n_slots
         assert 0 <= res.decoded <= res.transmitting
+
+
+@pytest.mark.parametrize(
+    "arrivals", [ArrivalModel("bernoulli", 0.5), ArrivalModel("poisson", 1.5)],
+    ids=["bernoulli", "poisson"],
+)
+def test_step_frame_draw_count_is_fixed(arrivals):
+    # Whatever the nodes hold, a frame draws the same block from the run's
+    # generator: its stream depends only on the seed and the frame index.
+    trained = train(TrainConfig(load=1.0, episodes=4, seed=8))[0]
+    states = []
+    for epsilon in (0.0, 1.0):
+        params = LearningParams(epsilon=epsilon)
+        cfg = TrainConfig(load=1.0, params=params, arrivals=arrivals)
+        for buffers in ([0] * cfg.m, [params.B] * cfg.m, [0, params.B] * (cfg.m // 2)):
+            for tables in ("empty", "trained"):
+                nodes = make_nodes(buffers, params)
+                if tables == "trained":
+                    for node, source in zip(nodes, trained):
+                        node.q = QTable.from_lines(source.q.to_lines())
+                rng = np.random.default_rng(12)
+                seen = []
+                for _ in range(3):
+                    step_frame(nodes, cfg, rng)
+                    seen.append(rng.bit_generator.state)
+                states.append(seen)
+    assert len(states) == 12
+    assert all(seen == states[0] for seen in states)
+
+
+def test_step_frame_places_replicas_uniformly_over_subsets(monkeypatch):
+    # Every explored action a places its replicas on the first a argsort
+    # ranks of the node's row; for each a, those slots must be a uniform
+    # a-subset. Deterministic arrivals keep every node transmitting.
+    n_slots, frames = 5, 3000
+    seen = {}
+
+    def recording_simulate_frame(bursts, n):
+        for slots in bursts.values():
+            key = frozenset(slots)
+            assert len(key) == len(slots)
+            per_size = seen.setdefault(len(key), {})
+            per_size[key] = per_size.get(key, 0) + 1
+        return simulate_frame(bursts, n)
+
+    monkeypatch.setattr(env, "simulate_frame", recording_simulate_frame)
+    params = LearningParams(epsilon=1.0, d=n_slots - 1)
+    cfg = TrainConfig(
+        n_slots=n_slots, load=0.6, params=params, arrivals=ArrivalModel("deterministic", 1)
+    )
+    nodes = make_nodes([params.B] * cfg.m, params)
+    rng = np.random.default_rng(2018)
+    for _ in range(frames):
+        result = step_frame(nodes, cfg, rng)
+        assert result.transmitting == cfg.m
+    # counts stay plain ints, not numpy scalars
+    assert {type(result.decoded), type(result.transmitting), type(result.dropped)} == {int}
+    assert sorted(seen) == list(range(1, n_slots))
+    for size, counts in seen.items():
+        assert len(counts) == math.comb(n_slots, size)
+        assert sps.chisquare(list(counts.values())).pvalue > 1e-3
 
 
 # --- bad-episode detection -------------------------------------------------------
@@ -260,11 +360,11 @@ def _train_digest(cfg):
 _PINNED_STREAMS = [
     (
         TrainConfig(load=1.0, episodes=6, seed=11),
-        "0e524fd2dfa4449090310b73ea91f39138fb727756673cc09b238f8f7580dbc8",
+        "fe702a70f0010fba8b0c1b0179e1e391d29865c92456044d24c6e098578f91c5",
     ),
     (
         replace(convergence_config(0.7, virtual=True, seed=12), episodes=8),
-        "fb43ea033bc368214d2755667c4d432ce1abf4c8265cdc0dc9bef42a2fd58f44",
+        "7ca3d4ed7ebd8b3f203dbb3d829b61e064abd5a5d399a6b54287ad522b149cb0",
     ),
     (
         TrainConfig(
@@ -274,7 +374,7 @@ _PINNED_STREAMS = [
             episodes=6,
             seed=13,
         ),
-        "f80e972d742fb88e7fecf84bbb758d2028bb1e078ae3bbac7b411dc7141c06bb",
+        "5788acfa52faf21a841f75579bbc62e27a8a783fb5980ef5131546f330f4980d",
     ),
 ]
 

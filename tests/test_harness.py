@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from irsa_rl import harness
 from irsa_rl.core import slotted_aloha_throughput
 from irsa_rl.env import ConfigurationError, TrainConfig
 from irsa_rl.harness import (
@@ -291,19 +292,38 @@ def test_sweep_spec_accepts_generators():
     )
 
 
-def test_loads_sharing_a_seed_key_are_rejected():
-    # round(load * 1000) keys every load's streams: 0.5 and 0.5004 would
-    # silently draw identical repetitions.
-    loads = (0.5, 0.5004)
-    with pytest.raises(ConfigurationError, match="seed stream"):
-        SweepSpec(loads=loads)
-    with pytest.raises(ConfigurationError, match="seed stream"):
-        convergence_report(loads=loads, repetitions=1, bootstrap=1,
-                           config_factory=_short_convergence)
-    with pytest.raises(ConfigurationError, match="seed stream"):
-        waterfall_suite(loads, TrainConfig(episodes=1), repetitions=1, trials=1)
-    # a repeated load is the same cell, not a collision
-    assert SweepSpec(loads=(0.5, 0.5)).loads == (0.5, 0.5)
+def _first_draw(*key) -> int:
+    return int(harness._cell_rng(0, *key).integers(2**63))
+
+
+def test_cell_keys_are_collision_free():
+    # Cells used to be keyed by round(load * 1000), so loads closer than
+    # 0.001 shared every stream. Now they get distinct ones:
+    for n, rep in ((10, 0), (20, 3)):
+        assert _first_draw(harness._SWEEP, 1, 0.5, n, rep) != _first_draw(
+            harness._SWEEP, 1, 0.5004, n, rep
+        )
+    rows = run_sweep(
+        SweepSpec(loads=(0.5, 0.5004), variants=("vanilla_irsa",), repetitions=2, trials=50),
+        BASE,
+        master_seed=3,
+    )
+    assert rows[0].mean != rows[1].mean
+    # The sweep key had no tag, so a sweep cell whose load rounded to
+    # 0.000 or 0.001 spelled the key of a learning curve (tag 2, dec_rl is
+    # variant 2) or of a compare_virtual training run (tag 4,
+    # random_strategy is variant 4) with virtual flag 0 or 1.
+    dec_rl, random_strategy = VARIANTS.index("dec_rl"), VARIANTS.index("random_strategy")
+    assert (dec_rl, random_strategy) == (2, 4)
+    for virtual, load in ((0, 0.0004), (1, 0.001)):
+        # old: (2, 0|1, 700, rep) for both
+        assert _first_draw(harness._SWEEP, dec_rl, load, 700, 3) != _first_draw(
+            harness._CURVE, virtual, 0.7, 0, 3
+        )
+        # old: (4, 0|1, 30, rep) for both
+        assert _first_draw(harness._SWEEP, random_strategy, load, 30, 2) != _first_draw(
+            harness._ABLATION_TRAIN, virtual, 0.7, 30, 2
+        )
 
 
 # Digests of three small experiments: every sweep variant, the training-length
@@ -311,9 +331,9 @@ def test_loads_sharing_a_seed_key_are_rejected():
 # draw or the train -> deploy -> evaluate arithmetic moves them; a refactor of
 # the experiment plumbing must leave them alone.
 _PINNED_EXPERIMENTS = {
-    "sweep": "476e14db75e4a3b5456ec6b63a133a7473ada6ec8d2e4b6695cab2e0c86e4349",
-    "compare_virtual": "b42458d1c84d8df0fcbda0fc7e3ec7abdb150848006f92712580684d747fdd58",
-    "waterfall": "cfd222565a9c069bac04effb605bc0f6fccf85ed7036051280700cf8250b2430",
+    "sweep": "4cb7566224d1cac92a53071faa6184f490315b3da3c9f6f42ad2b8943b3fe747",
+    "compare_virtual": "54acd1e9e6b4c5468ec95d333c364932ee8fcedf8d0131626bc46d55e93fce5b",
+    "waterfall": "dc011320928a09f431b217d0839fe9531b4682c6a26ffbe360e34b67dcbcab1e",
 }
 
 

@@ -7,7 +7,6 @@ from irsa_rl.agent import LearningParams, QTable, learning_rate, q_update
 from irsa_rl.virtual import (
     batch_update,
     class_size_bound,
-    coverage_time,
     enumerate_class,
     transform,
 )
@@ -198,24 +197,6 @@ def test_batch_update_visit_counts_are_per_member():
         assert q.visits((b, b), 1) == 2
     # alpha for the next update of (2,2) reflects two prior visits
     assert learning_rate(q.visits(h, 1), params) == pytest.approx(1.111 * 0.81)
-
-
-# --- coverage time ----------------------------------------------------------------
-
-
-def test_coverage_time_round_robin():
-    pairs = [((0,), 1), ((0,), 2), ((1,), 1), ((1,), 2)]
-    assert coverage_time(pairs, 4) == 4
-
-
-def test_coverage_time_never_covered():
-    pairs = [((0,), 1), ((0,), 2), ((0,), 1)]
-    assert coverage_time(pairs, 4) is None
-
-
-def test_coverage_time_with_batches():
-    trace = [[((0,), 1), ((1,), 1)], [((0,), 2), ((1,), 2)]]
-    assert coverage_time(trace, 4) == 2
 
 
 # --- statistical validation of the coverage-speedup predictions --------------------
