@@ -134,12 +134,14 @@ def _cell_rng(
     n and the repetition. n is the frame size, except in the training-length
     ablation, where it is the training length (and 0 where an experiment
     has neither). Every key has this one layout, so distinct cells never
-    share a stream."""
+    share a stream. A master seed, n or rep outside [0, 2**32) would not fit
+    its word, so it is a ``ConfigurationError``."""
+    for name, word in (("master seed", master_seed), ("n", n), ("rep", rep)):
+        if not 0 <= word < 2**32:
+            raise ConfigurationError(f"{name} {word} lies outside [0, 2**32)")
     bits = int(np.float64(load).view(np.uint64))
-    key = (master_seed, tag, variant, bits, bits >> 32, n, rep)
-    return np.random.default_rng(
-        np.random.SeedSequence([int(word) & 0xFFFFFFFF for word in key])
-    )
+    key = (master_seed, tag, variant, bits & 0xFFFFFFFF, bits >> 32, n, rep)
+    return np.random.default_rng(np.random.SeedSequence([int(word) for word in key]))
 
 
 def _cell_seed(*key) -> int:

@@ -1,9 +1,13 @@
 """Independent reference implementations used to cross-check the decoder.
 
-Deliberately brute-force: these share no code with the package internals.
+Deliberately brute-force: apart from ``exact_mean_decoded``, which decodes
+with the package's single-frame ``_peel`` (itself checked against the
+stopping-set and all-orders oracles here), these share no code with the
+package internals.
 """
 
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -83,6 +87,34 @@ def enumerate_frames(max_users: int, n_slots: int):
         slot_subsets.extend(frozenset(c) for c in combinations(range(n_slots), r))
     for assignment in product(slot_subsets, repeat=max_users):
         yield {u: assignment[u] for u in range(max_users)}
+
+
+def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
+    """Exact expected decoded users per saturated frame of m users.
+
+    Every user draws a degree from ``dist``, capped at n_slots, and a uniform
+    subset of that many slots. Sums over every degree vector and every
+    choice of subsets, each frame decoded by ``_peel``.
+    """
+    from irsa_rl.core import _peel
+
+    capped = [0.0] * (n_slots + 1)
+    for degree, p in dist.as_terms().items():
+        capped[min(degree, n_slots)] += p
+    choices = [
+        (frozenset(subset), capped[l] / comb(n_slots, l))
+        for l in range(1, n_slots + 1)
+        if capped[l] > 0
+        for subset in combinations(range(n_slots), l)
+    ]
+    total = 0.0
+    for frame in product(choices, repeat=m):
+        weight = 1.0
+        for _, p in frame:
+            weight *= p
+        decoded, _ = _peel({u: slots for u, (slots, _) in enumerate(frame)}, n_slots)
+        total += weight * len(decoded)
+    return total
 
 
 def sequential_batch_oracle(q, h_visited, a, h_next, params):

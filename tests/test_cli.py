@@ -422,6 +422,18 @@ def test_cli_arrival_param_too_large_is_config_error(tmp_path, capsys, kind, par
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["sweep", "waterfall"])
+def test_cli_seed_beyond_32_bits_is_config_error(tmp_path, capsys, command):
+    # Experiment cells key the master seed as one 32-bit word, so 2**32 used
+    # to run seed 0's streams and exit 0.
+    cfg = write_config(tmp_path, "loads = 0.3\nepisodes = 1\nvariants = vanilla_irsa\n")
+    out = str(tmp_path / "x")
+    flags = ["--seed", "4294967296", "--reps", "1", "--trials", "5"]
+    assert main([command, "--config", cfg, "--out", out] + flags) == 2
+    assert "master seed" in _config_error(capsys)["error"]
+    assert not os.path.exists(out)
+
+
 # sha256 of the CSV each small run writes, computed on the stream of one
 # fixed draw block per training frame and the float64-bit cell keys.
 _PINNED_RUNS = {

@@ -20,7 +20,20 @@ from irsa_rl.core import (
     _peel_frames,
 )
 
-from oracles import all_orders_decode, enumerate_frames, stopping_set_decode
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from oracles import (
+    all_orders_decode,
+    enumerate_frames,
+    exact_mean_decoded,
+    stopping_set_decode,
+    stopping_set_decode_fast,
+    subset_masks,
+)
+
+#: 0.2 x + 0.5 x^2 + 0.3 x^3
+LAMBDA_3 = DegreeDistribution((0.2, 0.5, 0.3))
 
 
 def frame(n_slots, **bursts):
@@ -300,12 +313,63 @@ def _replay_saturated(policies, n_slots, n_frames, seed):
     return counts
 
 
-@pytest.mark.parametrize("n_slots,m,n_frames", [(10, 10, 2500), (50, 40, 250)])
-def test_simulate_saturated_replays_sic_decode_exactly(n_slots, m, n_frames):
-    # 2500 and 250 frames each span more than one 2e5-element chunk
-    policies = [BASELINE_IRSA] * m
+#: Per-node degrees 1, 3, 3 and 8 in 4 slots: a d = 1 user, whose degree
+#: needs no search, and a d > N user, whose degree is capped.
+_MIXED = [PURE_ALOHA, uniform_distribution(3), LAMBDA_3, BASELINE_IRSA]
+
+
+@pytest.mark.parametrize(
+    "n_slots,policies,n_frames",
+    [(10, [BASELINE_IRSA] * 10, 2500), (50, [BASELINE_IRSA] * 40, 250), (4, _MIXED, 13000)],
+    ids=["10-10-2500", "50-40-250", "mixed-4-13000"],
+)
+def test_simulate_saturated_replays_sic_decode_exactly(n_slots, policies, n_frames):
+    # every size spans more than one 2e5-element chunk
     batched = simulate_saturated(policies, n_slots, n_frames, np.random.default_rng(21))
     assert np.array_equal(batched, _replay_saturated(policies, n_slots, n_frames, 21))
+
+
+@pytest.mark.parametrize("m,n_slots,n_frames", [(7, 5, 300), (1000, 1000, 20)])
+def test_simulate_saturated_all_aloha_stream(m, n_slots, n_frames):
+    # All degree-1 users: one degree uniform per user and frame, drawn user
+    # by user, then the Slotted ALOHA runner on the same generator.
+    rng = np.random.default_rng(22)
+    got = simulate_saturated([PURE_ALOHA] * m, n_slots, n_frames, rng)
+    ref_rng = np.random.default_rng(22)
+    for _ in range(m):
+        ref_rng.random(n_frames)
+    ref = simulate_slotted_aloha(m, n_slots, n_frames, ref_rng)
+    assert np.array_equal(got, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m,n_slots", [(3, 4), (4, 4), (3, 5), (3, 2)])
+def test_simulate_saturated_mean_matches_exact_expectation(m, n_slots):
+    # The whole saturated pipeline (degree draws and cap, placement, peeling)
+    # against the exact mean over every degree vector and slot subset. At
+    # N = 2 the degree-3 term is capped.
+    frames = 200_000
+    counts = simulate_saturated([LAMBDA_3] * m, n_slots, frames, np.random.default_rng(23))
+    exact = exact_mean_decoded(LAMBDA_3, m, n_slots)
+    z = (counts.mean() - exact) / (counts.std(ddof=1) / math.sqrt(frames))
+    assert abs(z) < 4, (counts.mean(), exact, z)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        bool,
+        st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 7)),
+    )
+)
+def test_peel_frames_matches_stopping_set_oracle(incidence):
+    before = incidence.copy()
+    decoded, passes = _peel_frames(incidence)
+    assert np.array_equal(incidence, before)
+    masks = subset_masks(incidence.shape[1])
+    for i, frame in enumerate(incidence.astype(np.int64)):
+        assert np.array_equal(decoded[i], stopping_set_decode_fast(frame, masks))
+    assert np.all(passes <= decoded.sum(axis=1))
 
 
 def test_slotted_aloha_throughput_values():

@@ -326,6 +326,20 @@ def test_cell_keys_are_collision_free():
         )
 
 
+def test_cell_key_words_outside_32_bits_are_rejected():
+    # Each key word is one 32-bit SeedSequence word: master seeds 0 and 2**32
+    # used to give every cell the same stream.
+    spec = SweepSpec(loads=(0.5,), variants=("vanilla_irsa",), repetitions=2, trials=20)
+    for seed in (2**32, 2**33 + 7, -1):
+        with pytest.raises(ConfigurationError, match="master seed"):
+            run_sweep(spec, BASE, master_seed=seed)
+    for n, rep in ((2**32, 0), (-1, 0), (10, 2**32), (10, -1)):
+        with pytest.raises(ConfigurationError):
+            harness._cell_rng(0, harness._SWEEP, 1, 0.5, n, rep)
+    top = run_sweep(spec, BASE, master_seed=2**32 - 1)
+    assert top != run_sweep(spec, BASE, master_seed=0)
+
+
 # Digests of three small experiments: every sweep variant, the training-length
 # ablation and the waterfall study. Any change to a cell's seed key, an RNG
 # draw or the train -> deploy -> evaluate arithmetic moves them; a refactor of
