@@ -5,10 +5,8 @@ from .core import (
     PURE_ALOHA,
     DecodeOutcome,
     DegreeDistribution,
-    FrameOccupancy,
     place_replicas,
     sample_degree,
-    sic_decode,
     simulate_frame,
     slotted_aloha_throughput,
     uniform_distribution,

@@ -6,11 +6,13 @@ the last w buffer levels (oldest first), its actions are replica counts in
 capacity B is a finite integer). After training, the visited table is folded
 into a deployable degree distribution.
 
-The Q-table keeps one row of q values and one row of visit counts per
-history, indexed by action - 1, so an update costs one row lookup for the
-successor history (its maximum is one ``max`` over the row) and one for the
-updated history. Learning rates come from a per-``LearningParams`` list of
-``learning_rate`` values, extended on demand, instead of a call per update.
+``QTable(d)`` owns the action count: it keeps one row of q values and one
+row of visit counts per history, both of width d and indexed by action - 1,
+and rejects any action outside 1..d, checkpoints included. An update costs
+one row lookup for the successor history (its maximum is one ``max`` over
+the row) and one for the updated history. Learning rates come from a
+per-``LearningParams`` list of ``learning_rate`` values, extended on
+demand, instead of a call per update.
 
 A note on the learning-rate schedule: the default geometric schedule
 alpha = min(1, 1.111 * 0.9^visits) decays too fast to satisfy the
@@ -98,18 +100,19 @@ def learning_rate(visits: int, params: LearningParams) -> float:
 
 
 class QTable:
-    """(history, action) -> (q value, visit count) table, one row per history.
+    """(history, action) -> (q value, visit count) table over actions 1..d.
 
     ``_q[h]`` and ``_n[h]`` hold the q values and visit counts of history h,
-    action a at index a - 1. A row is created, or widened, with zeros on the
-    first write that needs it, so an absent history or action reads as
-    (0.0, 0). Visit counts only ever increase; they feed the per-pair
-    learning-rate schedule.
+    action a at index a - 1. Both rows are created with d zeros on the first
+    write to h, so an absent history reads as (0.0, 0) for every action; an
+    action outside 1..d is a ``ValueError``. Visit counts only ever increase;
+    they feed the per-pair learning-rate schedule.
     """
 
-    __slots__ = ("_q", "_n")
+    __slots__ = ("d", "_q", "_n")
 
-    def __init__(self):
+    def __init__(self, d: int):
+        self.d = d
         self._q: dict[History, list[float]] = {}
         self._n: dict[History, list[int]] = {}
 
@@ -117,53 +120,43 @@ class QTable:
         """Number of visited (history, action) pairs."""
         return sum(v > 0 for row in self._n.values() for v in row)
 
+    def _check(self, a: int) -> None:
+        if not 0 < a <= self.d:
+            raise ValueError(f"action {a} outside 1..{self.d}")
+
     def q(self, h: History, a: int) -> float:
+        self._check(a)
         row = self._q.get(h)
-        return row[a - 1] if row is not None and 0 < a <= len(row) else 0.0
+        return 0.0 if row is None else row[a - 1]
 
     def visits(self, h: History, a: int) -> int:
+        self._check(a)
         row = self._n.get(h)
-        return row[a - 1] if row is not None and 0 < a <= len(row) else 0
+        return 0 if row is None else row[a - 1]
 
-    def _rows(self, h: History, width: int) -> tuple[list[float], list[int]]:
-        """The q and visit rows of h, created or widened to at least ``width``."""
-        q_row = self._q.get(h)
-        if q_row is None:
-            q_row = self._q[h] = [0.0] * width
-            n_row = self._n[h] = [0] * width
-            return q_row, n_row
-        n_row = self._n[h]
-        if len(q_row) < width:
-            pad = width - len(q_row)
-            q_row.extend([0.0] * pad)
-            n_row.extend([0] * pad)
-        return q_row, n_row
+    def _rows(self, h: History, a: int) -> tuple[list[float], list[int]]:
+        """The q and visit rows of h, created on first use; a must be in 1..d."""
+        self._check(a)
+        if h not in self._q:
+            self._q[h] = [0.0] * self.d
+            self._n[h] = [0] * self.d
+        return self._q[h], self._n[h]
 
     def record(self, h: History, a: int, q_value: float) -> None:
         """Store a new q value for (h, a) and count one more visit."""
-        if a < 1:
-            raise ValueError(f"action must be >= 1, got {a}")
         q_row, n_row = self._rows(h, a)
         q_row[a - 1] = q_value
         n_row[a - 1] += 1
 
-    def _values(self, h: History, d: int) -> list[float]:
-        """q values of actions 1..d for h."""
-        row = self._q.get(h)
-        if row is None:
-            return [0.0] * d
-        if len(row) == d:
-            return row
-        return row[:d] + [0.0] * (d - len(row))
+    def greedy_actions(self, h: History) -> list[int]:
+        """All actions attaining the maximal q value for h (tie set).
 
-    def max_q(self, h: History, d: int) -> float:
-        # Unseen actions read as 0.0; with nonpositive rewards that makes
-        # unexplored actions look optimistic.
-        return max(self._values(h, d))
-
-    def greedy_actions(self, h: History, d: int) -> list[int]:
-        """All actions in 1..d attaining the maximal q value for h (tie set)."""
-        values = self._values(h, d)
+        Unseen actions read as 0.0; with nonpositive rewards that makes
+        unexplored actions look optimistic.
+        """
+        values = self._q.get(h)
+        if values is None:
+            return list(range(1, self.d + 1))
         best = max(values)
         if values.count(best) == 1:
             return [values.index(best) + 1]
@@ -193,8 +186,10 @@ class QTable:
         return lines
 
     @classmethod
-    def from_lines(cls, lines) -> "QTable":
-        table = cls()
+    def from_lines(cls, lines, d: int) -> "QTable":
+        """The table of actions 1..d that ``to_lines`` wrote; an action
+        outside 1..d is a ``ValueError``."""
+        table = cls(d)
         for line in lines:
             line = line.strip()
             if not line:
@@ -204,7 +199,7 @@ class QTable:
                 raise ValueError(f"malformed q-table line: {line!r}")
             *levels, a, q_value, visits = parts
             a, visits = int(a), int(visits)
-            if a < 1 or visits < 1:
+            if visits < 1:
                 raise ValueError(f"malformed q-table line: {line!r}")
             q_row, n_row = table._rows(tuple(int(x) for x in levels), a)
             q_row[a - 1] = float(q_value)
@@ -217,9 +212,9 @@ class QTable:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path) -> "QTable":
+    def load(cls, path, d: int) -> "QTable":
         with open(path) as fh:
-            return cls.from_lines(fh)
+            return cls.from_lines(fh, d)
 
 
 def select_action(
@@ -239,7 +234,7 @@ def select_action(
     d = params.d
     if u_explore < params.epsilon:
         return int(u_pick * d) + 1
-    ties = q.greedy_actions(h, d)
+    ties = q.greedy_actions(h)
     if len(ties) == 1:
         return ties[0]
     return ties[int(u_pick * len(ties))]
@@ -263,20 +258,11 @@ def q_update(
     alpha comes from the pair's visit count before this update; the count is
     incremented afterwards.
     """
-    d = params.d
     next_row = q._q.get(h_next)
-    if next_row is None:
-        best = 0.0
-    elif len(next_row) == d:
-        best = max(next_row)
-    else:
-        best = q.max_q(h_next, d)
-    target = r + params.gamma * best
+    target = r + params.gamma * (0.0 if next_row is None else max(next_row))
     q_row = q._q.get(h)
-    if q_row is None or not 0 < a <= len(q_row):
-        if a < 1:
-            raise ValueError(f"action must be >= 1, got {a}")
-        q_row, n_row = q._rows(h, a if a > d else d)
+    if q_row is None or not 0 < a <= q.d:
+        q_row, n_row = q._rows(h, a)  # creates the rows, or rejects the action
     else:
         n_row = q._n[h]
     visits = n_row[a - 1]
@@ -288,7 +274,7 @@ def q_update(
     n_row[a - 1] = visits + 1
 
 
-def extract_policy(q: QTable, d: int) -> DegreeDistribution:
+def extract_policy(q: QTable) -> DegreeDistribution:
     """Fold a trained table into a degree distribution.
 
     Each visited history contributes its total visit count to its greedy
@@ -296,11 +282,11 @@ def extract_policy(q: QTable, d: int) -> DegreeDistribution:
     normalized. Frequently visited states therefore dominate the deployed
     distribution. Invariant under any positive rescaling of the q values.
     """
-    weights = [0.0] * d
+    weights = [0.0] * q.d
     for h, visits in q.history_visits().items():
         if visits <= 0:
             continue
-        ties = q.greedy_actions(h, d)
+        ties = q.greedy_actions(h)
         share = visits / len(ties)
         for a in ties:
             weights[a - 1] += share

@@ -124,18 +124,12 @@ def _policy_from_variant(variant: str, cfg: TrainConfig):
 
 
 def _load_checkpoint(path: str, d: int) -> QTable:
-    """One node's trained table; a malformed file, or one with actions the
-    config's replica cap d would silently drop, is a configuration error."""
+    """One node's trained table; a malformed file, or one with an action
+    outside 1..d (the config's ``max_replicas``), is a configuration error."""
     try:
-        table = QTable.load(path)
+        return QTable.load(path, d)
     except ValueError as exc:
         raise ConfigurationError(f"bad q-table checkpoint {path!r}: {exc}") from exc
-    wide = max((a for _, a, _, _ in table.items()), default=0)
-    if wide > d:
-        raise ConfigurationError(
-            f"q-table checkpoint {path!r} has action {wide} above max_replicas = {d}"
-        )
-    return table
 
 
 def cmd_eval(args) -> int:
@@ -146,7 +140,7 @@ def cmd_eval(args) -> int:
             _load_checkpoint(os.path.join(args.qtables, f"node_{i:03d}.qtable"), d)
             for i in range(cfg.m)
         ]
-        policy = deployed_policies(tables, d)
+        policy = deployed_policies(tables)
     else:
         policy = _policy_from_variant(args.variant, cfg)
     summary = evaluate(policy, cfg, args.trials, rng=np.random.default_rng(cfg.seed))

@@ -101,10 +101,7 @@ def _build(owner, values: dict[str, str], **fields):
         raise ConfigurationError(str(exc)) from exc
 
 
-def build_train_config(values: dict[str, str], seed=None) -> TrainConfig:
-    """The run configuration; ``seed``, when given, overrides the seed key."""
-    if seed is not None:
-        values = {**values, "seed": str(seed)}
+def build_train_config(values: dict[str, str]) -> TrainConfig:
     return _build(
         TrainConfig,
         values,

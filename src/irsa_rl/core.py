@@ -7,18 +7,18 @@ reveals that user, whose replicas are then cancelled everywhere (perfect
 interference cancellation, zero noise, and ideal side information about
 where a decoded user's replicas sit). Peeling repeats to a fixed point.
 
-There are two decoders, one per call shape. ``_peel`` peels one frame held
-as a user -> slot-list mapping; ``simulate_frame`` (the training frame,
-called once per frame by ``env.step_frame``) and ``sic_decode`` use it.
+There are two peeling kernels, one per call shape. ``_peel`` peels one
+frame held as a user -> slot-list mapping; ``simulate_frame`` is the one
+single-frame decoder, called once per training frame by ``env.step_frame``
+and by the tests that check decoding against brute-force oracles.
 ``_peel_frames`` peels a whole (frames, users, slots) incidence tensor at
 once; ``simulate_saturated`` uses it. Both keep the same fixed point and pass
 count. The kernel does not take the single-frame path, because it loses at
-one frame: for one frame of 10 users in 10 slots, ``FrameOccupancy`` +
-``_peel`` took 29 us and building the incidence tensor + ``_peel_frames``
-61 us (median of 50 frames, 2-core x86 host; an earlier bool-tensor form
-measured 81 us against 53 us). On a batch it wins: ``simulate_saturated``
-spends about 5 us per frame of 10 users in 10 slots, against 24 us per
-frame decoded one at a time, and 62 us per frame of 40 users in 50 slots.
+one frame: for one frame of 10 users in 10 slots with ``BASELINE_IRSA``
+degrees, ``simulate_frame`` took about 8 us and building the incidence
+tensor + ``_peel_frames`` about 40 us (median of 50 frames, 2-core x86
+host). On a batch it wins: ``simulate_saturated`` spends about 5 us per
+frame of 10 users in 10 slots and 62 us per frame of 40 users in 50 slots.
 All-degree-1 frames of 1000 users in 1000 slots take 27 us through
 ``simulate_slotted_aloha``. These are whole-call figures, degree draws and
 placement included (median op latency over 10 benchmark runs of 30 s,
@@ -35,9 +35,8 @@ uniforms is a uniform random permutation of the slots, and its first l
 entries are a uniform l-subset. ``simulate_saturated`` ranks whole chunks
 this way and sets each (frame, user) row's first l ranks in the flattened
 incidence tensor with one index; ``env.step_frame`` ranks one row per node
-of its per-frame draw block and hands the prefixes to ``simulate_frame``,
-which builds no ``FrameOccupancy``. ``place_replicas``, ``FrameOccupancy``
-and ``sic_decode`` are the reference path that tests decode against.
+of its per-frame draw block and hands the prefixes to ``simulate_frame``.
+``place_replicas`` and ``sample_degree`` draw test frames one user at a time.
 
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
@@ -52,14 +51,12 @@ import numpy as np
 
 __all__ = [
     "DegreeDistribution",
-    "FrameOccupancy",
     "DecodeOutcome",
     "BASELINE_IRSA",
     "PURE_ALOHA",
     "sample_degree",
     "sample_degrees",
     "place_replicas",
-    "sic_decode",
     "simulate_frame",
     "slotted_aloha_throughput",
     "uniform_distribution",
@@ -127,31 +124,6 @@ def uniform_distribution(d: int) -> DegreeDistribution:
 
 
 @dataclass(frozen=True)
-class FrameOccupancy:
-    """User -> replica slot sets for one frame."""
-
-    n_slots: int
-    bursts: dict[int, frozenset[int]]
-
-    def __post_init__(self):
-        if self.n_slots < 1:
-            raise ValueError("a frame needs at least one slot")
-        clean = {}
-        for user, slots in self.bursts.items():
-            slots = frozenset(int(s) for s in slots)
-            if not slots:
-                raise ValueError(f"user {user} has an empty burst set")
-            if min(slots) < 0 or max(slots) >= self.n_slots:
-                raise ValueError(f"user {user} has slot indices outside [0, {self.n_slots})")
-            clean[user] = slots
-        object.__setattr__(self, "bursts", clean)
-
-    @property
-    def n_users(self) -> int:
-        return len(self.bursts)
-
-
-@dataclass(frozen=True)
 class DecodeOutcome:
     """Result of SIC peeling: decoded users and the number of peeling passes."""
 
@@ -182,7 +154,7 @@ def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[
     return frozenset(int(s) for s in rng.choice(n_slots, size=l, replace=False))
 
 
-def _peel(bursts: dict, n_slots: int) -> tuple[set, int]:
+def _peel(bursts: dict) -> tuple[set, int]:
     """Peeling fixed point over a user -> slots mapping.
 
     Each pass decodes every currently-singleton slot's user, then cancels all
@@ -236,22 +208,20 @@ def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return decoded, passes
 
 
-def sic_decode(frame: FrameOccupancy) -> DecodeOutcome:
-    """Run SIC peeling on a frame. The result is independent of peeling order."""
-    decoded, passes = _peel(frame.bursts, frame.n_slots)
-    return DecodeOutcome(decoded=frozenset(decoded), iterations=passes)
+def simulate_frame(bursts: dict) -> DecodeOutcome:
+    """Decode one frame: ``bursts`` maps each user to the distinct slots of
+    its replicas. The result is independent of peeling order.
 
-
-def simulate_frame(bursts: dict, n_slots: int) -> DecodeOutcome:
-    """Decode one frame of placed replicas: ``bursts`` maps each user to the
-    slots of its replicas (distinct slots in [0, n_slots)).
-
-    Unlike ``sic_decode`` it takes the mapping as it is, unvalidated; one
-    frame carries at most one packet per user, so a user's goodput is 1 if
-    it is in ``decoded`` and 0 otherwise.
+    One frame carries at most one packet per user, so a user's goodput is 1
+    if it is in ``decoded`` and 0 otherwise.
     """
-    decoded, passes = _peel(bursts, n_slots)
+    decoded, passes = _peel(bursts)
     return DecodeOutcome(decoded=frozenset(decoded), iterations=passes)
+
+
+#: A second name for ``simulate_frame``: the benchmark's span tracer still
+#: wraps ``core.sic_decode``, and a missing wrap point fails its traced run.
+sic_decode = simulate_frame
 
 
 def slotted_aloha_throughput(load: float) -> float:

@@ -169,11 +169,14 @@ TRACE_COLUMNS = ("trial", "episode", "iteration", "mean_reward", "throughput", "
 
 @dataclass
 class RunRecord:
-    """Per-iteration trace of one training run."""
+    """Per-iteration trace of one training run.
+
+    A bad-episode reset does not end the episode, so every episode runs
+    ``config.iters_per_episode`` = I frames, and frame k is iteration k % I
+    of episode k // I.
+    """
 
     config: TrainConfig
-    episode: list[int] = field(default_factory=list)
-    iteration: list[int] = field(default_factory=list)
     mean_reward: list[float] = field(default_factory=list)
     throughput: list[float] = field(default_factory=list)
     resets: list[int] = field(default_factory=list)
@@ -183,26 +186,31 @@ class RunRecord:
         return len(self.mean_reward)
 
     def episode_means(self) -> np.ndarray:
-        """Mean reward per episode (empty episodes are skipped)."""
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        for e, r in zip(self.episode, self.mean_reward):
-            sums[e] = sums.get(e, 0.0) + r
-            counts[e] = counts.get(e, 0) + 1
-        return np.array([sums[e] / counts[e] for e in sorted(sums)])
+        """Mean reward per episode, each episode summed in frame order."""
+        per = self.config.iters_per_episode
+        means = []
+        # A run of zero-frame episodes records nothing; ``or 1`` keeps the
+        # step of the empty range valid.
+        for start in range(0, len(self), per or 1):
+            rewards = self.mean_reward[start : start + per]
+            total = 0.0
+            for r in rewards:
+                total += r
+            means.append(total / len(rewards))
+        return np.array(means)
 
     def episode_trace(self, episode_index: int) -> np.ndarray:
         """Within-episode mean-reward sequence for one episode."""
-        return np.array(
-            [r for e, r in zip(self.episode, self.mean_reward) if e == episode_index]
-        )
+        per = self.config.iters_per_episode
+        return np.array(self.mean_reward[episode_index * per : (episode_index + 1) * per])
 
     def rows(self, trial: int = 0):
+        per = self.config.iters_per_episode
         for k in range(len(self)):
             yield (
                 trial,
-                self.episode[k],
-                self.iteration[k],
+                k // per,
+                k % per,
                 self.mean_reward[k],
                 self.throughput[k],
                 self.resets[k],
@@ -246,7 +254,7 @@ def step_frame(
             actions[i] = a
             # The slice caps the replicas at min(a, N) distinct slots.
             bursts[i] = ranks[i][:a]
-    decoded = simulate_frame(bursts, n_slots).decoded
+    decoded = simulate_frame(bursts).decoded
 
     rewards = np.zeros(m)
     dropped = 0
@@ -295,8 +303,9 @@ def reset_episode(
 
 
 def new_nodes(config: TrainConfig) -> list[NodeState]:
+    params = config.params
     return [
-        NodeState(buffer=0, history=initial_history(0, config.params.w), q=QTable())
+        NodeState(buffer=0, history=initial_history(0, params.w), q=QTable(params.d))
         for _ in range(config.m)
     ]
 
@@ -313,10 +322,10 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
     nodes = new_nodes(config)
 
     record = RunRecord(config=config)
-    for episode in range(config.episodes):
+    for _ in range(config.episodes):
         reset_episode(nodes, config.params, rng)
         recent: list[float] = []
-        for it in range(config.iters_per_episode):
+        for _ in range(config.iters_per_episode):
             result = step_frame(nodes, config, rng)
             mean_reward = float(result.rewards.mean())
             recent.append(mean_reward)
@@ -325,8 +334,6 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
                 reset_episode(nodes, config.params, rng)
                 recent.clear()
                 resets = 1
-            record.episode.append(episode)
-            record.iteration.append(it)
             record.mean_reward.append(mean_reward)
             record.throughput.append(result.throughput)
             record.resets.append(resets)
@@ -334,7 +341,7 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
     return nodes, record
 
 
-def deployed_policies(tables: list[QTable], d: int) -> list[DegreeDistribution]:
+def deployed_policies(tables: list[QTable]) -> list[DegreeDistribution]:
     """Per-node degree distributions extracted from trained Q-tables.
 
     A table with no recorded experience deploys the uniform distribution,
@@ -344,9 +351,9 @@ def deployed_policies(tables: list[QTable], d: int) -> list[DegreeDistribution]:
     policies = []
     for table in tables:
         try:
-            policies.append(extract_policy(table, d))
+            policies.append(extract_policy(table))
         except NoExperienceError:
-            policies.append(uniform_distribution(d))
+            policies.append(uniform_distribution(table.d))
     return policies
 
 

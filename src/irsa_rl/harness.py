@@ -162,7 +162,7 @@ def _cell_throughput(
     """
     if policies is None:
         nodes, _ = train(config)
-        policies = deployed_policies([node.q for node in nodes], config.params.d)
+        policies = deployed_policies([node.q for node in nodes])
     counts = simulate_saturated(policies, config.n_slots, trials, rng)
     return float(counts.mean() / config.n_slots)
 
@@ -476,10 +476,9 @@ def _format_value(v) -> str:
 def emit_report(tables: dict, out_dir: str, checks=None) -> list[str]:
     """Write one CSV per table plus a plain-text summary.
 
-    ``tables`` maps a table name to either a list of dicts (uniform keys) or
-    a (columns, rows) pair. ``checks`` is an optional list of (name, passed)
-    pairs echoed into the summary. Reruns with identical inputs produce
-    byte-identical files.
+    ``tables`` maps a table name to its rows, dicts with uniform keys.
+    ``checks`` is an optional list of (name, passed) pairs echoed into the
+    summary. Reruns with identical inputs produce byte-identical files.
     """
     if not tables:
         raise ValueError("no tables to report")
@@ -491,12 +490,8 @@ def emit_report(tables: dict, out_dir: str, checks=None) -> list[str]:
     written = []
     row_counts = {}
     for name, table in sorted(tables.items()):
-        if isinstance(table, tuple):
-            columns, rows = table
-            rows = [dict(zip(columns, r)) for r in rows]
-        else:
-            rows = list(table)
-            columns = list(rows[0].keys()) if rows else []
+        rows = list(table)
+        columns = list(rows[0].keys()) if rows else []
         path = os.path.join(out_dir, f"{name}.csv")
         try:
             with open(path, "w", newline="") as fh:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the decoder.
 
 Deliberately brute-force: apart from ``exact_mean_decoded``, which decodes
-with the package's single-frame ``_peel`` (itself checked against the
+with the package's ``simulate_frame`` (itself checked against the
 stopping-set and all-orders oracles here), these share no code with the
 package internals.
 """
@@ -94,9 +94,9 @@ def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
 
     Every user draws a degree from ``dist``, capped at n_slots, and a uniform
     subset of that many slots. Sums over every degree vector and every
-    choice of subsets, each frame decoded by ``_peel``.
+    choice of subsets, each frame decoded by ``simulate_frame``.
     """
-    from irsa_rl.core import _peel
+    from irsa_rl.core import simulate_frame
 
     capped = [0.0] * (n_slots + 1)
     for degree, p in dist.as_terms().items():
@@ -112,8 +112,8 @@ def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
         weight = 1.0
         for _, p in frame:
             weight *= p
-        decoded, _ = _peel({u: slots for u, (slots, _) in enumerate(frame)}, n_slots)
-        total += weight * len(decoded)
+        out = simulate_frame({u: slots for u, (slots, _) in enumerate(frame)})
+        total += weight * len(out.decoded)
     return total
 
 

@@ -15,8 +15,7 @@ import pytest
 from irsa_rl.agent import LearningParams, QTable
 from irsa_rl.core import (
     BASELINE_IRSA,
-    FrameOccupancy,
-    sic_decode,
+    simulate_frame,
     simulate_slotted_aloha,
     slotted_aloha_throughput,
 )
@@ -76,7 +75,7 @@ def test_criterion_2_sic_oracle_equivalence():
     for n_users in range(1, 5):
         for n_slots in range(1, 5):
             for bursts in enumerate_frames(n_users, n_slots):
-                got = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded
+                got = simulate_frame(bursts).decoded
                 want = stopping_set_decode(bursts, n_slots)
                 mismatches += got != want
     assert mismatches == 0
@@ -93,7 +92,7 @@ def test_criterion_2_sic_oracle_equivalence():
             slots = rng.choice(n_slots, size=l, replace=False)
             incidence[u, slots] = 1
             bursts[u] = frozenset(int(s) for s in slots)
-        got = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded
+        got = simulate_frame(bursts).decoded
         decoded_flags = stopping_set_decode_fast(incidence, masks[n_users])
         want = {u for u in range(n_users) if decoded_flags[u]}
         mismatches += got != want
@@ -128,7 +127,7 @@ def test_criterion_3_virtual_experience_exactness():
                     if not 0 <= succ <= B:
                         continue
                     h_next = h[1:] + (succ,)
-                    q1, q2 = QTable(), QTable()
+                    q1, q2 = QTable(params.d), QTable(params.d)
                     batch_update(q1, h, a, float(-succ), h_next, params)
                     sequential_batch_oracle(q2, h, a, h_next, params)
                     assert _tables_equal(q1, q2)
@@ -138,7 +137,7 @@ def test_criterion_3_virtual_experience_exactness():
     # fuzz: 1e4 random transitions applied to evolving tables
     rng = np.random.default_rng(SEED + 2)
     params = LearningParams(B=5, w=4, d=4)
-    q1, q2 = QTable(), QTable()
+    q1, q2 = QTable(params.d), QTable(params.d)
     applied = 0
     while applied < 10_000:
         h = tuple(int(x) for x in rng.integers(0, 6, 4))
@@ -287,10 +286,10 @@ def test_criterion_8_property_suites():
             u: place_replicas(int(rng.integers(1, n_slots + 1)), n_slots, rng)
             for u in range(n_users)
         }
-        base = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded
+        base = simulate_frame(bursts).decoded
         perm = rng.permutation(n_users)
         relabeled = {int(perm[u]): s for u, s in bursts.items()}
-        got = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=relabeled)).decoded
+        got = simulate_frame(relabeled).decoded
         assert got == {int(perm[u]) for u in base}
 
     # determinism, Q-value bounds, and extraction normalization after training
@@ -303,7 +302,7 @@ def test_criterion_8_property_suites():
         for _, _, value, _ in n.q.items():
             assert -bound <= value <= 0.0
         if len(n.q):
-            pol = extract_policy(n.q, cfg.params.d)
+            pol = extract_policy(n.q)
             assert abs(sum(pol.coeffs) - 1.0) < 1e-9
 
     # buffer conservation under the driver
@@ -315,7 +314,7 @@ def test_criterion_8_property_suites():
         load=1.0, params=params, arrivals=ArrivalModel("bernoulli", 0.7)
     )
     nodes = [
-        NodeState(buffer=2, history=initial_history(2, params.w), q=QTable())
+        NodeState(buffer=2, history=initial_history(2, params.w), q=QTable(params.d))
         for _ in range(cfg.m)
     ]
     rng2 = np.random.default_rng(SEED + 9)

@@ -63,7 +63,7 @@ def test_learning_rate_rejects_negative_visits():
 
 
 def test_select_action_greedy_picks_strict_max():
-    q = QTable()
+    q = QTable(4)
     h = (0, 0, 0, 1)
     q.record(h, 2, 1.5)
     q.record(h, 1, 0.5)
@@ -73,7 +73,7 @@ def test_select_action_greedy_picks_strict_max():
 
 
 def test_select_action_pure_exploration_uniform():
-    q = QTable()
+    q = QTable(4)
     h = (1, 1, 1, 1)
     p = LearningParams(epsilon=1.0)
     rng = np.random.default_rng(1)
@@ -85,7 +85,7 @@ def test_select_action_pure_exploration_uniform():
 
 
 def test_select_action_tie_break_uniform_on_empty_table():
-    q = QTable()
+    q = QTable(4)
     h = (1, 1, 1, 1)
     p = LearningParams(epsilon=0.0)
     rng = np.random.default_rng(2)
@@ -98,8 +98,8 @@ def test_select_action_tie_break_uniform_on_empty_table():
 
 def test_select_action_range_fuzz():
     rng = np.random.default_rng(3)
-    q = QTable()
     for d in (1, 2, 5, 8):
+        q = QTable(d)
         p = LearningParams(epsilon=0.3, d=d)
         for _ in range(500):
             h = tuple(int(x) for x in rng.integers(0, 6, size=4))
@@ -127,7 +127,7 @@ def test_learning_params_reject_non_integer_sizes(field, value):
 
 
 def test_q_update_first_visit_overwrites():
-    q = QTable()
+    q = QTable(4)
     h, h2 = (0, 0, 0, 1), (0, 0, 1, 0)
     q_update(q, h, 2, -3.0, h2, PARAMS)
     assert q.q(h, 2) == -3.0
@@ -140,7 +140,7 @@ def test_q_update_hand_computed_blend():
     # arithmetic directly with alpha = learning_rate(8, params).
     p = LearningParams(gamma=0.98)
     alpha = learning_rate(8, p)
-    q = QTable()
+    q = QTable(4)
     h, h2 = (1, 1, 1, 1), (1, 1, 1, 2)
     for _ in range(8):
         q.record(h, 1, 1.0)  # drive visits to 8, q to 1.0
@@ -152,7 +152,7 @@ def test_q_update_hand_computed_blend():
 
 def test_q_update_zero_reward_myopic_fixed_point():
     p = LearningParams(gamma=0.0)
-    q = QTable()
+    q = QTable(4)
     h, h2 = (0, 0, 0, 1), (0, 0, 1, 1)
     q.record(h, 1, -5.0)
     for _ in range(200):
@@ -162,7 +162,7 @@ def test_q_update_zero_reward_myopic_fixed_point():
 
 def test_q_update_uses_max_over_next_actions():
     p = LearningParams(gamma=0.5)
-    q = QTable()
+    q = QTable(4)
     h, h2 = (0, 0, 0, 1), (0, 0, 1, 2)
     q.record(h2, 1, -4.0)
     q.record(h2, 2, -1.0)
@@ -180,7 +180,7 @@ def test_q_values_bounded_under_bounded_rewards():
     p = LearningParams()
     bound = p.B / (1 - p.gamma)
     rng = np.random.default_rng(4)
-    q = QTable()
+    q = QTable(4)
     histories = [tuple(int(x) for x in rng.integers(0, p.B + 1, p.w)) for _ in range(20)]
     for _ in range(5000):
         h = histories[int(rng.integers(len(histories)))]
@@ -196,32 +196,32 @@ def test_q_values_bounded_under_bounded_rewards():
 
 
 def test_extract_policy_single_greedy_action():
-    q = QTable()
+    q = QTable(4)
     for k, h in enumerate([(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)]):
         for a in range(1, 5):
             for _ in range(k + 1):
                 q.record(h, a, -1.0 if a != 3 else -0.5)
-    pol = extract_policy(q, 4)
+    pol = extract_policy(q)
     assert pol.as_terms() == {3: 1.0}
 
 
 def test_extract_policy_symmetric_split():
-    q = QTable()
+    q = QTable(4)
     h1, h2 = (0, 0, 0, 1), (0, 0, 0, 2)
     for a in range(1, 5):
         q.record(h1, a, -1.0 if a != 2 else -0.1)
         q.record(h2, a, -1.0 if a != 4 else -0.1)
-    pol = extract_policy(q, 4)
+    pol = extract_policy(q)
     assert pol.as_terms() == {2: 0.5, 4: 0.5}
 
 
 def test_extract_policy_visit_weighting_with_optimistic_ties():
-    q = QTable()
+    q = QTable(4)
     h1, h2 = (0, 0, 0, 1), (0, 0, 0, 2)
     for _ in range(3):
         q.record(h1, 1, -0.5)
     q.record(h2, 2, -0.5)
-    pol = extract_policy(q, 4)
+    pol = extract_policy(q)
     # h1 (3 visits): unvisited actions {2,3,4} read 0 > -0.5, tie three ways.
     # h2 (1 visit): ties {1,3,4}.
     expected = np.array([1 / 3, 1.0, 1 + 1 / 3, 1 + 1 / 3]) / 4.0
@@ -230,31 +230,31 @@ def test_extract_policy_visit_weighting_with_optimistic_ties():
 
 def test_extract_policy_scaling_invariance():
     rng = np.random.default_rng(5)
-    q = QTable()
+    q = QTable(4)
     for _ in range(200):
         h = tuple(int(x) for x in rng.integers(0, 3, 4))
         a = int(rng.integers(1, 5))
         q.record(h, a, float(-rng.random()))
-    base = extract_policy(q, 4)
+    base = extract_policy(q)
     scaled_lines = []
     for line in q.to_lines():
         *key, value, visits = line.split(",")
         scaled_lines.append(",".join(key + [repr(float(value) * 7.5), visits]))
-    scaled = QTable.from_lines(scaled_lines)
-    assert np.allclose(base.coeffs, extract_policy(scaled, 4).coeffs)
+    scaled = QTable.from_lines(scaled_lines, 4)
+    assert np.allclose(base.coeffs, extract_policy(scaled).coeffs)
     assert abs(sum(base.coeffs) - 1.0) < 1e-9
 
 
 def test_extract_policy_empty_table_raises():
     with pytest.raises(NoExperienceError):
-        extract_policy(QTable(), 4)
+        extract_policy(QTable(4))
 
 
 # --- table mechanics ---------------------------------------------------------
 
 
 def test_qtable_defaults_and_visit_monotonicity():
-    q = QTable()
+    q = QTable(4)
     h = (0, 0, 0, 0)
     assert q.q(h, 1) == 0.0
     assert q.visits(h, 1) == 0
@@ -265,14 +265,14 @@ def test_qtable_defaults_and_visit_monotonicity():
 
 def test_qtable_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
-    q = QTable()
+    q = QTable(8)
     for _ in range(100):
         h = tuple(int(x) for x in rng.integers(0, 6, 4))
         a = int(rng.integers(1, 9))
         q.record(h, a, float(rng.normal()))
     path = tmp_path / "table.qtable"
     q.save(path)
-    loaded = QTable.load(path)
+    loaded = QTable.load(path, 8)
     assert sorted(q.items()) == sorted(loaded.items())
     # format: w levels, action, q, visits per line
     line = path.read_text().splitlines()[0]
@@ -282,7 +282,7 @@ def test_qtable_serialization_roundtrip(tmp_path):
 
 def test_qtable_rejects_malformed_lines():
     with pytest.raises(ValueError):
-        QTable.from_lines(["1,2"])
+        QTable.from_lines(["1,2"], 4)
 
 
 @pytest.mark.parametrize(
@@ -297,52 +297,44 @@ def test_qtable_rejects_malformed_lines():
 )
 def test_qtable_rejects_invalid_entries(line):
     with pytest.raises(ValueError):
-        QTable.from_lines([line])
+        QTable.from_lines([line], 4)
 
 
-def test_qtable_row_widens_for_higher_action():
-    q = QTable()
-    h = (1, 2, 3, 4)
-    q.record(h, 2, -1.0)
-    q.record(h, 6, -2.0)
-    assert (q.q(h, 2), q.visits(h, 2)) == (-1.0, 1)
-    assert (q.q(h, 6), q.visits(h, 6)) == (-2.0, 1)
-    # the slots filled in by widening read as unvisited
-    for a in (1, 3, 4, 5, 7):
-        assert (q.q(h, a), q.visits(h, a)) == (0.0, 0)
-    assert sorted(q.items()) == [(h, 2, -1.0, 1), (h, 6, -2.0, 1)]
-    # q_update at d=4 keeps the wider row and its action 6 entry
-    q_update(q, h, 1, -1.0, h, PARAMS)
-    assert q.q(h, 6) == -2.0 and q.visits(h, 1) == 1
+_WRITES = {
+    "record": lambda a: QTable(4).record((0, 0, 0, 0), a, -1.0),
+    "q_update": lambda a: q_update(QTable(4), (0, 0, 0, 0), a, -1.0, (0, 0, 0, 0), PARAMS),
+    "from_lines": lambda a: QTable.from_lines([f"0,0,0,0,{a},-1.0,1"], 4),
+}
 
 
-def test_qtable_max_q_and_greedy_actions_at_other_widths():
-    q = QTable()
-    h = (0, 0, 0, 1)
-    q.record(h, 1, -0.5)
-    q.record(h, 2, -0.25)
-    # d wider than the row: actions 3 and 4 are unvisited and read 0.0
-    assert q.max_q(h, 4) == 0.0
-    assert q.greedy_actions(h, 4) == [3, 4]
-    # d narrower than the row: action 2 is out of range
-    assert q.max_q(h, 1) == -0.5
-    assert q.greedy_actions(h, 1) == [1]
-    assert q.max_q(h, 2) == -0.25
-    assert q.greedy_actions(h, 2) == [2]
-    # an unseen history ties every action at 0.0
-    assert q.max_q((5, 5, 5, 5), 3) == 0.0
-    assert q.greedy_actions((5, 5, 5, 5), 3) == [1, 2, 3]
+@pytest.mark.parametrize("action", [0, 5])
+@pytest.mark.parametrize("write", list(_WRITES))
+def test_qtable_writes_reject_actions_outside_1_to_d(write, action):
+    with pytest.raises(ValueError, match="action"):
+        _WRITES[write](action)
+
+
+@pytest.mark.parametrize("action", [0, 5])
+def test_qtable_reads_reject_actions_outside_1_to_d(action):
+    # action 0 would otherwise read row[-1], the entry of action d
+    q = QTable(4)
+    h = (0, 0, 0, 0)
+    q.record(h, 4, -1.0)
+    with pytest.raises(ValueError, match="action"):
+        q.q(h, action)
+    with pytest.raises(ValueError, match="action"):
+        q.visits(h, action)
 
 
 def test_qtable_len_counts_visited_entries_only():
-    q = QTable()
+    q = QTable(4)
     assert len(q) == 0
     q.record((0, 0, 0, 0), 4, -1.0)  # row of width 4, one visited entry
     assert len(q) == 1
     q.record((0, 0, 0, 0), 4, -1.5)  # revisit: still one entry
     q.record((0, 0, 0, 1), 1, -1.0)
     assert len(q) == 2
-    assert len(QTable.from_lines(q.to_lines())) == 2
+    assert len(QTable.from_lines(q.to_lines(), 4)) == 2
 
 
 def test_history_helpers():

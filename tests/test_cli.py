@@ -114,9 +114,18 @@ def test_every_config_key_changes_the_built_config():
 
 
 def test_config_seed_override(tmp_path):
-    path = write_config(tmp_path, "seed = 5\n")
-    cfg = build_train_config(parse_config_file(path), seed=77)
-    assert cfg.seed == 77
+    # --seed overrides the file's seed key: the run equals one seeded by the file
+    traces = []
+    for name, seed_line, flags in (
+        ("flag", "seed = 5\n", ["--seed", "77"]),
+        ("file", "seed = 77\n", []),
+    ):
+        cfg = write_config(tmp_path, "load = 0.3\nepisodes = 2\n" + seed_line)
+        out = str(tmp_path / name)
+        assert main(["train", "--config", cfg, "--out", out] + flags) == 0
+        with open(os.path.join(out, "trace.csv"), "rb") as fh:
+            traces.append(fh.read())
+    assert traces[0] == traces[1]
 
 
 # --- CLI ------------------------------------------------------------------------

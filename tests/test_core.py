@@ -7,11 +7,9 @@ from irsa_rl.core import (
     BASELINE_IRSA,
     PURE_ALOHA,
     DegreeDistribution,
-    FrameOccupancy,
     place_replicas,
     sample_degree,
     sample_degrees,
-    sic_decode,
     simulate_frame,
     simulate_saturated,
     simulate_slotted_aloha,
@@ -34,12 +32,6 @@ from oracles import (
 
 #: 0.2 x + 0.5 x^2 + 0.3 x^3
 LAMBDA_3 = DegreeDistribution((0.2, 0.5, 0.3))
-
-
-def frame(n_slots, **bursts):
-    return FrameOccupancy(
-        n_slots=n_slots, bursts={u: frozenset(s) for u, s in bursts.items()}
-    )
 
 
 # --- degree distributions -------------------------------------------------
@@ -126,24 +118,24 @@ def test_place_replicas_rejects_overflow():
 
 
 def test_sic_lone_singleton():
-    out = sic_decode(frame(3, A={1}))
+    out = simulate_frame({"A": {1}})
     assert out.decoded == {"A"}
     assert out.iterations <= 2
 
 
 def test_sic_stopping_set():
-    out = sic_decode(frame(3, A={1, 2}, B={1, 2}))
+    out = simulate_frame({"A": {1, 2}, "B": {1, 2}})
     assert out.decoded == frozenset()
 
 
 def test_sic_cancellation_chain():
-    out = sic_decode(frame(3, A={1, 2}, B={2}))
+    out = simulate_frame({"A": {1, 2}, "B": {2}})
     assert out.decoded == {"A", "B"}
     assert out.iterations == 2
 
 
 def test_sic_chain_matches_all_orders_oracle():
-    got = sic_decode(frame(3, A={1, 2}, B={2})).decoded
+    got = simulate_frame({"A": {1, 2}, "B": {2}}).decoded
     assert got == all_orders_decode({"A": {1, 2}, "B": {2}}, 3)
 
 
@@ -156,7 +148,7 @@ def test_sic_iterations_bounded():
             u: place_replicas(int(rng.integers(1, n_slots + 1)), n_slots, rng)
             for u in range(n_users)
         }
-        out = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
+        out = simulate_frame(bursts)
         assert out.iterations <= n_users + 1
         assert out.decoded <= set(bursts)
 
@@ -171,7 +163,7 @@ def test_sic_order_invariance_under_relabeling():
             u: place_replicas(int(rng.integers(1, min(3, n_slots) + 1)), n_slots, rng)
             for u in range(n_users)
         }
-        base = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded
+        base = simulate_frame(bursts).decoded
 
         user_perm = rng.permutation(n_users)
         slot_perm = rng.permutation(n_slots)
@@ -179,7 +171,7 @@ def test_sic_order_invariance_under_relabeling():
             int(user_perm[u]): frozenset(int(slot_perm[s]) for s in slots)
             for u, slots in bursts.items()
         }
-        got = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=relabeled)).decoded
+        got = simulate_frame(relabeled).decoded
         assert got == {int(user_perm[u]) for u in base}
 
 
@@ -193,13 +185,13 @@ def test_sic_monotone_under_user_removal():
             u: place_replicas(int(rng.integers(1, n_slots + 1)), n_slots, rng)
             for u in range(n_users)
         }
-        full = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded
+        full = simulate_frame(bursts).decoded
         assert full == stopping_set_decode(bursts, n_slots)
         drop = int(rng.integers(n_users))
         reduced = {u: s for u, s in bursts.items() if u != drop}
         if not reduced:
             continue
-        smaller = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=reduced)).decoded
+        smaller = simulate_frame(reduced).decoded
         assert (full - {drop}) <= smaller
 
 
@@ -212,7 +204,7 @@ def test_sic_matches_all_orders_on_random_frames():
             u: place_replicas(int(rng.integers(1, n_slots + 1)), n_slots, rng)
             for u in range(n_users)
         }
-        got = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded
+        got = simulate_frame(bursts).decoded
         assert got == all_orders_decode(bursts, n_slots)
 
 
@@ -222,13 +214,13 @@ def test_sic_matches_all_orders_on_random_frames():
 def test_simulate_frame_single_user_always_succeeds():
     rng = np.random.default_rng(8)
     for l in (1, 3, 8):
-        out = simulate_frame({"u": place_replicas(l, 10, rng)}, 10)
+        out = simulate_frame({"u": place_replicas(l, 10, rng)})
         assert out.decoded == {"u"}
 
 
 def test_simulate_frame_total_collision():
     rng = np.random.default_rng(9)
-    out = simulate_frame({0: place_replicas(10, 10, rng), 1: place_replicas(10, 10, rng)}, 10)
+    out = simulate_frame({0: place_replicas(10, 10, rng), 1: place_replicas(10, 10, rng)})
     assert out.decoded == frozenset()
 
 
@@ -264,7 +256,7 @@ def test_simulate_saturated_matches_per_frame_simulation():
     total = 0
     for _ in range(frames):
         users = [(u, min(sample_degree(BASELINE_IRSA, rng2), n)) for u in range(m)]
-        out = simulate_frame({u: place_replicas(l, n, rng2) for u, l in users}, n)
+        out = simulate_frame({u: place_replicas(l, n, rng2) for u, l in users})
         total += len(out.decoded)
     looped = total / frames / n
     assert abs(batched - looped) < 0.01
@@ -281,23 +273,14 @@ def test_peel_frames_matches_sic_decode_on_every_frame(n_users, n_slots):
     decoded, passes = _peel_frames(incidence)
     assert np.array_equal(incidence, before)
     for i, bursts in enumerate(frames):
-        out = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
+        out = simulate_frame(bursts)
         assert set(np.flatnonzero(decoded[i])) == set(out.decoded)
         assert passes[i] == out.iterations
 
 
-@pytest.mark.parametrize("n_users,n_slots", [(3, 4), (4, 3)])
-def test_simulate_frame_matches_sic_decode_on_every_frame(n_users, n_slots):
-    # The training frame hands simulate_frame slot lists, unvalidated.
-    for bursts in enumerate_frames(n_users, n_slots):
-        got = simulate_frame({u: sorted(slots) for u, slots in bursts.items()}, n_slots)
-        ref = sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts))
-        assert got == ref
-
-
 def _replay_saturated(policies, n_slots, n_frames, seed):
     """simulate_saturated's draws, redrawn in the same order, with every frame
-    decoded by sic_decode. Chunking does not change the uniform stream, so
+    decoded by simulate_frame. Chunking does not change the uniform stream, so
     the slot orders are drawn in one call."""
     rng = np.random.default_rng(seed)
     n_users = len(policies)
@@ -309,7 +292,7 @@ def _replay_saturated(policies, n_slots, n_frames, seed):
     counts = np.empty(n_frames, dtype=np.int64)
     for i in range(n_frames):
         bursts = {u: order[i, u, : degrees[i, u]].tolist() for u in range(n_users)}
-        counts[i] = len(sic_decode(FrameOccupancy(n_slots=n_slots, bursts=bursts)).decoded)
+        counts[i] = len(simulate_frame(bursts).decoded)
     return counts
 
 

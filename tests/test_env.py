@@ -27,7 +27,7 @@ from irsa_rl.harness import convergence_config
 
 def make_nodes(buffers, params):
     return [
-        NodeState(buffer=b, history=initial_history(b, params.w), q=QTable())
+        NodeState(buffer=b, history=initial_history(b, params.w), q=QTable(params.d))
         for b in buffers
     ]
 
@@ -204,7 +204,7 @@ def test_step_frame_draw_count_is_fixed(arrivals):
                 nodes = make_nodes(buffers, params)
                 if tables == "trained":
                     for node, source in zip(nodes, trained):
-                        node.q = QTable.from_lines(source.q.to_lines())
+                        node.q = QTable.from_lines(source.q.to_lines(), params.d)
                 rng = np.random.default_rng(12)
                 seen = []
                 for _ in range(3):
@@ -222,13 +222,13 @@ def test_step_frame_places_replicas_uniformly_over_subsets(monkeypatch):
     n_slots, frames = 5, 3000
     seen = {}
 
-    def recording_simulate_frame(bursts, n):
+    def recording_simulate_frame(bursts):
         for slots in bursts.values():
             key = frozenset(slots)
             assert len(key) == len(slots)
             per_size = seen.setdefault(len(key), {})
             per_size[key] = per_size.get(key, 0) + 1
-        return simulate_frame(bursts, n)
+        return simulate_frame(bursts)
 
     monkeypatch.setattr(env, "simulate_frame", recording_simulate_frame)
     params = LearningParams(epsilon=1.0, d=n_slots - 1)
@@ -435,7 +435,7 @@ def test_evaluate_throughput_bounded_by_load():
 def test_evaluate_per_node_policies():
     cfg = TrainConfig(load=0.5, episodes=10, seed=13)
     nodes, _ = train(cfg)
-    pols = deployed_policies([n.q for n in nodes], cfg.params.d)
+    pols = deployed_policies([n.q for n in nodes])
     assert len(pols) == cfg.m
     s1 = evaluate(pols, cfg, trials=500, rng=np.random.default_rng(14))
     assert 0 <= s1.mean <= 1
@@ -453,7 +453,7 @@ def test_evaluate_rejects_bad_policy_shapes():
 
 def test_untrained_agents_deploy_uniform_policy():
     cfg = TrainConfig(load=0.5)
-    pols = deployed_policies([n.q for n in new_nodes(cfg)], cfg.params.d)
+    pols = deployed_policies([n.q for n in new_nodes(cfg)])
     for p in pols:
         assert np.allclose(p.coeffs, 1 / cfg.params.d)
 

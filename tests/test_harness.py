@@ -416,16 +416,9 @@ def test_emit_report_summary_checks(tmp_path):
 
 
 def test_emit_report_counts_generator_rows(tmp_path):
-    emit_report(
-        {
-            "dicts": ({"a": i} for i in range(3)),
-            "pairs": (["a"], ((i,) for i in range(2))),
-        },
-        str(tmp_path),
-    )
+    emit_report({"dicts": ({"a": i} for i in range(3))}, str(tmp_path))
     text = open(tmp_path / "summary.txt").read()
     assert "table dicts: 3 rows" in text
-    assert "table pairs: 2 rows" in text
     assert len(open(tmp_path / "dicts.csv").read().splitlines()) == 1 + 3
 
 

@@ -96,7 +96,7 @@ def test_batch_update_degenerate_class_equals_plain_update():
     assert enumerate_class(transform(h), 5, 2) == (h,)
     h_next = (0, 1)
 
-    q_batch, q_plain = QTable(), QTable()
+    q_batch, q_plain = QTable(params.d), QTable(params.d)
     batch_update(q_batch, h, 2, -1.0, h_next, params)
     q_update(q_plain, h, 2, -1.0, h_next, params)
     assert sorted(q_batch.items()) == sorted(q_plain.items())
@@ -107,7 +107,7 @@ def test_batch_update_known_class_rewards():
     # each with reward = -(its own successor level).
     params = _params(B=5, w=3)
     h, h_next = (3, 2, 2), (2, 2, 2)
-    q = QTable()
+    q = QTable(params.d)
     n = batch_update(q, h, 2, -2.0, h_next, params)
     assert n == 5
     for b in range(1, 6):
@@ -123,7 +123,7 @@ def test_batch_update_drain_skips_boundary_member():
     # level -1, which is infeasible; the other four update normally.
     params = _params(B=5, w=3)
     h, h_next = (3, 2, 2), (2, 2, 1)
-    q = QTable()
+    q = QTable(params.d)
     n = batch_update(q, h, 2, -1.0, h_next, params)
     assert n == 4
     assert q.visits((1, 0, 0), 2) == 0
@@ -136,7 +136,7 @@ def test_batch_update_skips_infeasible_successors():
     # to level B+1, which is infeasible and must be skipped.
     params = _params(B=5, w=2)
     h, h_next = (3, 3), (3, 4)
-    q = QTable()
+    q = QTable(params.d)
     n = batch_update(q, h, 1, -4.0, h_next, params)
     assert n == 5  # members b=0..4 update; b=5 would need successor 6
     assert q.visits((5, 5), 1) == 0
@@ -154,7 +154,7 @@ def test_batch_update_matches_sequential_oracle_exhaustively():
                     if not 0 <= succ <= B:
                         continue
                     h_next = h[1:] + (succ,)
-                    q1, q2 = QTable(), QTable()
+                    q1, q2 = QTable(params.d), QTable(params.d)
                     # seed both tables with identical prior content
                     q1.record(h, a, -1.0)
                     q2.record(h, a, -1.0)
@@ -166,7 +166,7 @@ def test_batch_update_matches_sequential_oracle_exhaustively():
 def test_batch_update_matches_sequential_oracle_fuzz():
     rng = np.random.default_rng(2)
     params = _params(B=5, w=3, d=4)
-    q1, q2 = QTable(), QTable()
+    q1, q2 = QTable(params.d), QTable(params.d)
     for step in range(10_000):
         h = tuple(int(x) for x in rng.integers(0, 6, 3))
         a = int(rng.integers(1, 5))
@@ -186,7 +186,7 @@ def test_batch_update_matches_sequential_oracle_fuzz():
 
 def test_batch_update_visit_counts_are_per_member():
     params = _params(B=3, w=2)
-    q = QTable()
+    q = QTable(params.d)
     h, h_next = (2, 2), (2, 2)
     batch_update(q, h, 1, -2.0, h_next, params)
     # all four members of the zero-diff key visited once each
