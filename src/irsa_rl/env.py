@@ -137,6 +137,8 @@ class TrainConfig:
             raise ConfigurationError("episode dimensions cannot be negative")
         if self.m < 1:
             raise ConfigurationError("configuration yields zero nodes")
+        if self.virtual_experience and self.params.w < 2:
+            raise ConfigurationError("virtual experience needs a history window >= 2")
 
     @property
     def m(self) -> int:
@@ -361,8 +363,7 @@ def evaluate(
     policy,
     config: TrainConfig,
     trials: int,
-    rng: np.random.Generator | None = None,
-    level: float = 0.975,
+    rng: np.random.Generator,
 ) -> Summary:
     """Frozen-policy Monte Carlo throughput (no learning, no exploration).
 
@@ -373,8 +374,6 @@ def evaluate(
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     if isinstance(policy, DegreeDistribution):
         policy = [policy] * config.m
     else:
@@ -384,4 +383,4 @@ def evaluate(
         if len(policy) != config.m:
             raise ConfigurationError(f"expected {config.m} per-node policies")
     counts = simulate_saturated(policy, config.n_slots, trials, rng)
-    return t_interval(counts / config.n_slots, level)
+    return t_interval(counts / config.n_slots)

@@ -4,11 +4,16 @@ Every experiment is deterministic under a master seed: each (experiment,
 variant, load, frame size, repetition) cell derives its own seed from the
 cell coordinates (``_cell_rng``), so results are byte-identical regardless of
 execution order or worker count, and distinct cells never share a stream.
+The sweep, the training-length ablation and the waterfall study build one
+config per group of repetitions, then run every cell through one
+train -> deploy -> evaluate function (``_cell``, where slotted ALOHA is a
+branch) and one repetition runner (``_summaries``).
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 import csv
+from itertools import product
 import os
 
 import numpy as np
@@ -149,60 +154,61 @@ def _cell_seed(*key) -> int:
     return int(_cell_rng(*key).integers(2**63))
 
 
-def _cell_throughput(
-    config: TrainConfig,
-    trials: int,
-    rng: np.random.Generator,
-    policies=None,
-) -> float:
+#: ``policies`` of a slotted-ALOHA cell: every node sends one replica.
+_SLOTTED_ALOHA = "slotted_aloha"
+
+
+def _cell(master_seed, tags, coords, config, trials, policies) -> float:
     """Mean per-slot throughput of one train -> deploy -> evaluate cell.
 
-    Without ``policies`` the cell trains ``config`` and deploys every node's
-    table; either way it then evaluates ``trials`` saturated frames on ``rng``.
+    ``tags`` are the experiment's (evaluation, training) tags and ``coords``
+    the rest of the cell key. With ``policies`` None the cell trains
+    ``config`` under its own seed and deploys every node's table; either way
+    it then evaluates ``trials`` saturated frames on its own generator.
     """
+    eval_tag, train_tag = tags
+    rng = _cell_rng(master_seed, eval_tag, *coords)
+    if policies == _SLOTTED_ALOHA:
+        # simulate_saturated would draw degrees first: ALOHA keeps its own stream.
+        counts = simulate_slotted_aloha(config.m, config.n_slots, trials, rng)
+        return float(counts.mean() / config.n_slots)
     if policies is None:
+        config = replace(config, seed=_cell_seed(master_seed, train_tag, *coords))
         nodes, _ = train(config)
         policies = deployed_policies([node.q for node in nodes])
     counts = simulate_saturated(policies, config.n_slots, trials, rng)
     return float(counts.mean() / config.n_slots)
 
 
-def _rep_throughput(
-    variant: str,
-    load: float,
-    n_slots: int,
-    rep: int,
-    base: TrainConfig,
-    trials: int,
-    master_seed: int,
-) -> float:
-    """Mean per-slot throughput of one repetition (trials saturated frames)."""
-    coords = (VARIANTS.index(variant), load, n_slots, rep)
-    rng = _cell_rng(master_seed, _SWEEP, *coords)
-    config = base.with_load(load, n_slots)
-    if variant == "slotted_aloha":
-        # simulate_saturated would draw degrees first: ALOHA keeps its own stream.
-        return float(simulate_slotted_aloha(config.m, n_slots, trials, rng).mean() / n_slots)
-    if variant == "vanilla_irsa":
-        return _cell_throughput(config, trials, rng, [BASELINE_IRSA] * config.m)
-    if variant == "random_strategy":
-        uniform = uniform_distribution(config.params.d)
-        return _cell_throughput(config, trials, rng, [uniform] * config.m)
-    # dec_rl and dec_rl_virtual: SweepSpec admits no other variant.
-    config = replace(
-        config,
-        virtual_experience=(variant == "dec_rl_virtual"),
-        seed=_cell_seed(master_seed, _SWEEP_TRAIN, *coords),
-    )
-    return _cell_throughput(config, trials, rng)
+def _summaries(
+    master_seed: int, tags, groups, trials: int, repetitions: int,
+    level: float = 0.975, workers: int = 1,
+) -> list[Summary]:
+    """One Student-t interval of ``_cell`` throughput per group.
+
+    A group is (coordinates, config, policies); its cells are repetitions
+    0..repetitions-1 keyed (tag, *coordinates, rep). Cells run in input
+    order, in a process pool when ``workers > 1``; the results do not depend
+    on the worker count.
+    """
+    cells = [
+        (master_seed, tags, (*coords, rep), config, trials, policies)
+        for coords, config, policies in groups
+        for rep in range(repetitions)
+    ]
+    if workers > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(_cell, *zip(*cells), chunksize=4))
+    else:
+        values = [_cell(*cell) for cell in cells]
+    return [
+        t_interval(values[i : i + repetitions], level)
+        for i in range(0, len(values), repetitions)
+    ]
 
 
-def _sweep_cell(args) -> tuple:
-    variant, load, n_slots, rep, base, trials, master_seed = args
-    return (
-        (variant, load, n_slots, rep),
-        _rep_throughput(variant, load, n_slots, rep, base, trials, master_seed),
-    )
+def _ci_columns(s: Summary) -> dict:
+    return {"mean": s.mean, "stderr": s.stderr, "ci_low": s.ci_low, "ci_high": s.ci_high}
 
 
 def run_sweep(
@@ -214,41 +220,26 @@ def run_sweep(
     """Per (variant, load, frame size): mean throughput with a Student-t CI
     over independent repetitions. Deterministic under the master seed and
     invariant to the worker count."""
-    cells = [
-        (variant, load, n, rep, base, spec.trials, master_seed)
-        for variant in spec.variants
-        for load in spec.loads
-        for n in spec.frame_sizes
-        for rep in range(spec.repetitions)
+    groups = []
+    for variant, load, n in product(spec.variants, spec.loads, spec.frame_sizes):
+        config = replace(
+            base.with_load(load, n), virtual_experience=(variant == "dec_rl_virtual")
+        )
+        # dec_rl and dec_rl_virtual train: SweepSpec admits no other variant.
+        policies = {
+            "slotted_aloha": _SLOTTED_ALOHA,
+            "vanilla_irsa": [BASELINE_IRSA] * config.m,
+            "random_strategy": [uniform_distribution(config.params.d)] * config.m,
+        }.get(variant)
+        groups.append(((VARIANTS.index(variant), load, n), config, policies))
+    summaries = _summaries(
+        master_seed, (_SWEEP, _SWEEP_TRAIN), groups, spec.trials, spec.repetitions,
+        spec.level, workers,
+    )
+    return [
+        SweepRow(VARIANTS[v], load, n, spec.repetitions, spec.trials, **_ci_columns(s))
+        for ((v, load, n), _, _), s in zip(groups, summaries)
     ]
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_cell, cells, chunksize=4))
-    else:
-        results = dict(map(_sweep_cell, cells))
-
-    rows = []
-    for variant in spec.variants:
-        for load in spec.loads:
-            for n in spec.frame_sizes:
-                reps = [
-                    results[(variant, load, n, rep)] for rep in range(spec.repetitions)
-                ]
-                s = t_interval(reps, spec.level)
-                rows.append(
-                    SweepRow(
-                        variant=variant,
-                        load=load,
-                        n_slots=n,
-                        repetitions=spec.repetitions,
-                        trials=spec.trials,
-                        mean=s.mean,
-                        stderr=s.stderr,
-                        ci_low=s.ci_low,
-                        ci_high=s.ci_high,
-                    )
-                )
-    return rows
 
 
 def epsilon_convergence_time(trace, epsilon: float):
@@ -292,11 +283,15 @@ def learning_curves(
     return np.asarray(traces)
 
 
-def _smooth(x: np.ndarray, window: int = 3) -> np.ndarray:
-    if window <= 1 or x.size < 2:
+#: Episodes in the moving average taken before a convergence scan.
+_SMOOTH_WINDOW = 3
+
+
+def _smooth(x: np.ndarray) -> np.ndarray:
+    if x.size < 2:
         return x
-    kernel = np.ones(window) / window
-    padded = np.concatenate([np.full(window - 1, x[0]), x])
+    kernel = np.ones(_SMOOTH_WINDOW) / _SMOOTH_WINDOW
+    padded = np.concatenate([np.full(_SMOOTH_WINDOW - 1, x[0]), x])
     return np.convolve(padded, kernel, mode="valid")
 
 
@@ -371,37 +366,28 @@ def compare_virtual(
     iteration_grid = list(iteration_grid)
     if not iteration_grid:
         raise ConfigurationError("iteration grid must be nonempty")
-    rows = []
+    groups = []
     for virtual in (False, True):
-        results = []
-        per_ep = config_factory(load, virtual=virtual, seed=0).iters_per_episode
-        for requested in iteration_grid:
-            episodes = int(requested) // per_ep
-            vals = []
-            for rep in range(repetitions):
-                coords = (int(virtual), load, int(requested), rep)
-                seed = _cell_seed(master_seed, _ABLATION_TRAIN, *coords)
-                cfg = replace(
-                    config_factory(load, virtual=virtual, seed=seed), episodes=episodes
-                )
-                rng = _cell_rng(master_seed, _ABLATION_EVAL, *coords)
-                vals.append(_cell_throughput(cfg, trials, rng))
-            s = t_interval(vals)
-            results.append((int(requested), episodes * per_ep, s))
-        best = max(range(len(results)), key=lambda k: results[k][2].mean)
-        for k, (requested, actual, s) in enumerate(results):
-            rows.append(
-                {
-                    "variant": "dec_rl_virtual" if virtual else "dec_rl",
-                    "requested_iters": requested,
-                    "actual_iters": actual,
-                    "mean": s.mean,
-                    "stderr": s.stderr,
-                    "ci_low": s.ci_low,
-                    "ci_high": s.ci_high,
-                    "is_best": int(k == best),
-                }
-            )
+        probe = config_factory(load, virtual=virtual, seed=0)
+        for requested in map(int, iteration_grid):
+            config = replace(probe, episodes=requested // probe.iters_per_episode)
+            groups.append(((int(virtual), load, requested), config, None))
+    summaries = _summaries(
+        master_seed, (_ABLATION_EVAL, _ABLATION_TRAIN), groups, trials, repetitions
+    )
+    rows = [
+        {
+            "variant": "dec_rl_virtual" if virtual else "dec_rl",
+            "requested_iters": requested,
+            "actual_iters": config.total_iterations,
+            **_ci_columns(s),
+            "is_best": 0,
+        }
+        for ((virtual, _, requested), config, _), s in zip(groups, summaries)
+    ]
+    for variant in ("dec_rl", "dec_rl_virtual"):
+        best = max((r for r in rows if r["variant"] == variant), key=lambda r: r["mean"])
+        best["is_best"] = 1
     return rows
 
 
@@ -421,49 +407,29 @@ def waterfall_suite(
         "dec_rl_low": LOW_LOAD_PARAMS,
         "dec_rl_high": HIGH_LOAD_PARAMS,
     }
+    groups = []
+    for (si, params), load in product(enumerate(schemes.values()), loads):
+        config = replace(base.with_load(load), params=params or base.params)
+        policies = None if params else [uniform_distribution(config.params.d)] * config.m
+        groups.append(((si, load, base.n_slots), config, policies))
+    summaries = _summaries(
+        master_seed, (_WATERFALL_EVAL, _WATERFALL_TRAIN), groups, trials, repetitions, level
+    )
+    by_cell = {
+        (list(schemes)[si], load): s for ((si, load, _), _, _), s in zip(groups, summaries)
+    }
     rows = []
-    summaries: dict[tuple, Summary] = {}
-    for si, (scheme, params) in enumerate(schemes.items()):
-        for load in loads:
-            vals = []
-            for rep in range(repetitions):
-                coords = (si, load, base.n_slots, rep)
-                cfg = replace(base.with_load(load), params=params or base.params)
-                policies = None
-                if params is None:
-                    policies = [uniform_distribution(cfg.params.d)] * cfg.m
-                else:
-                    cfg = replace(cfg, seed=_cell_seed(master_seed, _WATERFALL_TRAIN, *coords))
-                rng = _cell_rng(master_seed, _WATERFALL_EVAL, *coords)
-                vals.append(_cell_throughput(cfg, trials, rng, policies))
-            summaries[(scheme, load)] = t_interval(vals, level)
     for load in loads:
-        winner = max(schemes, key=lambda s: summaries[(s, load)].mean)
-        for scheme in schemes:
-            s = summaries[(scheme, load)]
+        winner = max(schemes, key=lambda s: by_cell[(s, load)].mean)
+        for scheme in (*schemes, "envelope"):
             rows.append(
                 {
                     "scheme": scheme,
                     "load": load,
-                    "mean": s.mean,
-                    "stderr": s.stderr,
-                    "ci_low": s.ci_low,
-                    "ci_high": s.ci_high,
+                    **_ci_columns(by_cell[(winner if scheme == "envelope" else scheme, load)]),
                     "is_winner": int(scheme == winner),
                 }
             )
-        envelope = summaries[(winner, load)]
-        rows.append(
-            {
-                "scheme": "envelope",
-                "load": load,
-                "mean": envelope.mean,
-                "stderr": envelope.stderr,
-                "ci_low": envelope.ci_low,
-                "ci_high": envelope.ci_high,
-                "is_winner": 0,
-            }
-        )
     return rows
 
 

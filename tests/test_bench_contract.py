@@ -7,6 +7,8 @@ absent from a traced run, which then fails as malformed output. These tests
 load the tracer by path, without changing it, and check that contract.
 """
 
+from collections import Counter
+from dataclasses import replace
 import importlib
 from pathlib import Path
 import types
@@ -14,6 +16,7 @@ import types
 import numpy as np
 import pytest
 
+from irsa_rl import harness
 from irsa_rl.core import simulate_frame
 from irsa_rl.env import TrainConfig, new_nodes, step_frame, train
 
@@ -53,3 +56,42 @@ def test_count_hook_fields_exist():
     table = nodes[0].q
     assert len(table) > 0
     assert all(len(entry) == 4 for entry in table.items())
+
+
+def test_experiments_call_the_wrapped_harness_names(monkeypatch):
+    # The tracer replaces these harness attributes; an experiment that bound
+    # one of them elsewhere would run untraced and leave its spans empty.
+    names = ("train", "deployed_policies", "simulate_saturated")
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+
+    def short(load, virtual=False, seed=0):
+        return replace(
+            harness.convergence_config(load, virtual, seed), episodes=1, iters_per_episode=5
+        )
+
+    base = TrainConfig(episodes=1, iters_per_episode=5)
+    experiments = {
+        "sweep": lambda: harness.run_sweep(
+            harness.SweepSpec(loads=(0.5,), variants=("dec_rl",), repetitions=1, trials=5),
+            base,
+        ),
+        "virtual-compare": lambda: harness.compare_virtual(
+            0.5, (5,), repetitions=1, trials=5, config_factory=short
+        ),
+        "waterfall": lambda: harness.waterfall_suite((0.5,), base, repetitions=1, trials=5),
+    }
+    for experiment, run in experiments.items():
+        calls.clear()
+        run()
+        for name in names:
+            assert calls[name] > 0, (experiment, name)

@@ -431,6 +431,26 @@ def test_cli_arrival_param_too_large_is_config_error(tmp_path, capsys, kind, par
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("train", "virtual_experience = true\n"),
+        ("sweep", "loads = 0.3\nvariants = slotted_aloha, dec_rl_virtual\n"),
+    ],
+    ids=["train", "sweep"],
+)
+def test_cli_virtual_experience_with_window_1_is_config_error(
+    tmp_path, capsys, command, text
+):
+    # Virtual updates key states by buffer differences, which a one-frame
+    # window does not have; train used to die in virtual.transform.
+    cfg = write_config(tmp_path, "window = 1\nepisodes = 1\n" + text)
+    out = str(tmp_path / "x")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert "window" in _config_error(capsys)["error"]
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["sweep", "waterfall"])
 def test_cli_seed_beyond_32_bits_is_config_error(tmp_path, capsys, command):
     # Experiment cells key the master seed as one 32-bit word, so 2**32 used

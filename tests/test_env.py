@@ -443,12 +443,13 @@ def test_evaluate_per_node_policies():
 
 def test_evaluate_rejects_bad_policy_shapes():
     cfg = TrainConfig(load=0.5)
+    rng = np.random.default_rng(15)
     with pytest.raises(ConfigurationError):
-        evaluate([BASELINE_IRSA] * 2, cfg, trials=10)
+        evaluate([BASELINE_IRSA] * 2, cfg, trials=10, rng=rng)
     with pytest.raises(ConfigurationError):
-        evaluate(BASELINE_IRSA, cfg, trials=0)
+        evaluate(BASELINE_IRSA, cfg, trials=0, rng=rng)
     with pytest.raises(ConfigurationError):  # trained nodes, not distributions
-        evaluate(make_nodes([1] * cfg.m, cfg.params), cfg, trials=10)
+        evaluate(make_nodes([1] * cfg.m, cfg.params), cfg, trials=10, rng=rng)
 
 
 def test_untrained_agents_deploy_uniform_policy():

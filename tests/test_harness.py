@@ -104,17 +104,15 @@ def test_sweep_vanilla_beats_aloha_below_threshold():
 
 
 def test_sweep_deterministic_and_worker_invariant():
-    spec = SweepSpec(
-        loads=(0.5, 0.8),
-        variants=("vanilla_irsa", "random_strategy"),
-        repetitions=3,
-        trials=50,
-    )
-    rows1 = run_sweep(spec, BASE, master_seed=3, workers=1)
-    rows2 = run_sweep(spec, BASE, master_seed=3, workers=1)
-    rows3 = run_sweep(spec, BASE, master_seed=3, workers=3)
+    # every variant, so the pool runs every kind of cell: slotted ALOHA,
+    # fixed policies, plain training and virtual training
+    spec = SweepSpec(loads=(0.5, 0.8), variants=VARIANTS, repetitions=3, trials=50)
+    base = TrainConfig(episodes=2)
+    rows1 = run_sweep(spec, base, master_seed=3, workers=1)
+    rows2 = run_sweep(spec, base, master_seed=3, workers=1)
+    rows3 = run_sweep(spec, base, master_seed=3, workers=3)
     assert rows1 == rows2 == rows3
-    rows4 = run_sweep(spec, BASE, master_seed=4)
+    rows4 = run_sweep(spec, base, master_seed=4)
     assert rows4 != rows1
 
 
