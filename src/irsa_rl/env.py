@@ -63,6 +63,10 @@ class ConfigurationError(ValueError):
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: B must lie below this: larger buffer levels are not exact float rewards.
+_BUFFER_LIMIT = 2**53
+#: The largest d: every visited history holds two Q-table rows of d entries.
+_MAX_REPLICAS = 1024
 #: The largest mean numpy's ``Generator.poisson`` accepts; it rejects any
 #: larger one with "lam value too large".
 _POISSON_MAX_MEAN = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))
@@ -137,6 +141,17 @@ class TrainConfig:
             raise ConfigurationError("episode dimensions cannot be negative")
         if self.m < 1:
             raise ConfigurationError("configuration yields zero nodes")
+        if self.params.B >= _BUFFER_LIMIT:
+            raise ConfigurationError(
+                f"buffer capacity B = {self.params.B} must be below 2**53: "
+                "larger levels are not exact float rewards"
+            )
+        if self.params.d > _MAX_REPLICAS:
+            raise ConfigurationError(
+                f"max_replicas d = {self.params.d} is above {_MAX_REPLICAS}: every visited "
+                f"history would hold two Q-table rows of {self.params.d} entries "
+                f"({16 * self.params.d} bytes)"
+            )
         if self.virtual_experience and self.params.w < 2:
             raise ConfigurationError("virtual experience needs a history window >= 2")
 
@@ -157,9 +172,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FrameResult:
-    """Per-frame outcome across all nodes."""
+    """Per-frame outcome across all nodes.
+
+    ``mean_reward`` is the mean of ``rewards`` taken from the integer buffer
+    levels: the exact mean, rounded once. ``TrainConfig`` keeps B below
+    2**53, so every reward is an exact float; while m * B < 2**53 every
+    partial sum is exact too, in any order, and ``mean_reward`` equals
+    ``float(rewards.mean())`` bit for bit.
+    """
 
     rewards: np.ndarray
+    mean_reward: float
     throughput: float
     decoded: int
     transmitting: int
@@ -258,8 +281,10 @@ def step_frame(
             bursts[i] = ranks[i][:a]
     decoded = simulate_frame(bursts).decoded
 
-    rewards = np.zeros(m)
+    rewards = [0.0] * m
+    backlog = 0  # summed buffer levels of the transmitting nodes
     dropped = 0
+    virtual = config.virtual_experience
     for i, node in enumerate(nodes):
         raw = node.buffer - (i in decoded) + arrivals[i]
         b_new = min(raw, cap)
@@ -270,12 +295,14 @@ def step_frame(
         if i in actions:
             r = reward(b_new)
             rewards[i] = r
-            if config.virtual_experience:
+            backlog += b_new
+            if virtual:
                 batch_update(node.q, h_prev, actions[i], r, node.history, params)
             else:
                 q_update(node.q, h_prev, actions[i], r, node.history, params)
     return FrameResult(
-        rewards=rewards,
+        rewards=np.array(rewards),
+        mean_reward=-backlog / m,
         throughput=len(decoded) / n_slots,
         decoded=len(decoded),
         transmitting=len(bursts),
@@ -329,7 +356,7 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
         recent: list[float] = []
         for _ in range(config.iters_per_episode):
             result = step_frame(nodes, config, rng)
-            mean_reward = float(result.rewards.mean())
+            mean_reward = result.mean_reward
             recent.append(mean_reward)
             resets = 0
             if detect_bad_episode(recent):

@@ -14,6 +14,7 @@ from irsa_rl.agent import (
     reward,
     select_action,
     shift_history,
+    td_updates,
 )
 
 
@@ -173,6 +174,36 @@ def test_q_update_uses_max_over_next_actions():
     q.record(h2, 4, -2.0)
     q_update(q, (1, 0, 0, 1), 1, -1.0, h2, p)
     assert q.q((1, 0, 0, 1), 1) == -1.0 + 0.5 * (-1.0)
+
+
+def test_td_updates_applies_moves_in_order():
+    # One call, three moves for action 2: the third sees the first's visit
+    # count and the second's write.
+    p = LearningParams(gamma=0.5)
+    q = QTable(4)
+    h, g = (0, 0, 0, 1), (0, 0, 1, 1)
+    q.record(g, 1, 4.0)
+    td_updates(q, 2, ((h, g, -2.0), (g, h, 6.0), (h, g, -5.0)), p)
+    # move 2, first visit (alpha 1): Q(g,2) = 6 + 0.5 * max Q(h, .) = 6 + 0.5 * 0.0
+    assert q.q(g, 2) == 6.0
+    # move 1 left Q(h,2) = -2 + 0.5 * 4 = 0; move 3 blends in -5 + 0.5 * 6
+    alpha = learning_rate(1, p)
+    assert q.q(h, 2) == (1 - alpha) * 0.0 + alpha * (-5.0 + 0.5 * 6.0)
+    assert (q.visits(h, 2), q.visits(g, 2), q.visits(g, 1)) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("action", [0, 5])
+def test_q_update_rejects_bad_action_before_any_write(action):
+    q = QTable(4)
+    h, fresh = (0, 0, 0, 1), (3, 3, 3, 3)
+    q_update(q, h, 2, -1.0, fresh, PARAMS)
+    before = (q.to_lines(), q.history_visits())
+    for visited in (h, fresh):
+        with pytest.raises(ValueError, match="action"):
+            q_update(q, visited, action, -1.0, h, PARAMS)
+    with pytest.raises(ValueError, match="action"):
+        td_updates(q, action, (), PARAMS)
+    assert (q.to_lines(), q.history_visits()) == before
 
 
 def test_q_values_bounded_under_bounded_rewards():

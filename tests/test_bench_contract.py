@@ -16,7 +16,7 @@ import types
 import numpy as np
 import pytest
 
-from irsa_rl import harness
+from irsa_rl import env, harness
 from irsa_rl.core import simulate_frame
 from irsa_rl.env import TrainConfig, new_nodes, step_frame, train
 
@@ -58,10 +58,8 @@ def test_count_hook_fields_exist():
     assert all(len(entry) == 4 for entry in table.items())
 
 
-def test_experiments_call_the_wrapped_harness_names(monkeypatch):
-    # The tracer replaces these harness attributes; an experiment that bound
-    # one of them elsewhere would run untraced and leave its spans empty.
-    names = ("train", "deployed_policies", "simulate_saturated")
+def _count_calls(monkeypatch, module, names) -> Counter:
+    """Replace ``module``'s ``names`` with wrappers that count their calls."""
     calls = Counter()
 
     def counting(name, fn):
@@ -72,7 +70,15 @@ def test_experiments_call_the_wrapped_harness_names(monkeypatch):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_experiments_call_the_wrapped_harness_names(monkeypatch):
+    # The tracer replaces these harness attributes; an experiment that bound
+    # one of them elsewhere would run untraced and leave its spans empty.
+    names = ("train", "deployed_policies", "simulate_saturated")
+    calls = _count_calls(monkeypatch, harness, names)
 
     def short(load, virtual=False, seed=0):
         return replace(
@@ -95,3 +101,17 @@ def test_experiments_call_the_wrapped_harness_names(monkeypatch):
         run()
         for name in names:
             assert calls[name] > 0, (experiment, name)
+
+
+def test_training_frames_call_the_wrapped_env_names(monkeypatch):
+    # The tracer replaces these env attributes; a step_frame that bound one of
+    # them locally would train untraced.
+    calls = _count_calls(
+        monkeypatch, env, ("select_action", "simulate_frame", "q_update", "batch_update")
+    )
+    base = TrainConfig(load=0.5, episodes=2, iters_per_episode=5, seed=3)
+    for virtual, update in ((False, "q_update"), (True, "batch_update")):
+        calls.clear()
+        train(replace(base, virtual_experience=virtual))
+        for name in ("select_action", "simulate_frame", update):
+            assert calls[name] > 0, (virtual, name)

@@ -5,10 +5,11 @@ import os
 
 import pytest
 
-from irsa_rl import cli, config as configmod
+from irsa_rl import cli, config as configmod, env
+from irsa_rl.agent import LearningParams
 from irsa_rl.cli import main
 from irsa_rl.config import build_sweep_spec, build_train_config, parse_config_file
-from irsa_rl.env import ConfigurationError
+from irsa_rl.env import ConfigurationError, TrainConfig
 
 
 def write_config(tmp_path, text):
@@ -429,6 +430,42 @@ def test_cli_arrival_param_too_large_is_config_error(tmp_path, capsys, kind, par
     assert main(["train", "--config", cfg, "--out", out]) == 2
     _config_error(capsys)
     assert not os.path.exists(out)
+
+
+def test_cli_buffer_beyond_2_53_is_config_error(tmp_path, capsys):
+    # The episode reset draws levels in [0, B] as int64s, so a 20-digit B used
+    # to end train with a numpy ValueError traceback and exit 1. Beyond 2**53
+    # the levels are not exact float rewards either.
+    cfg = write_config(
+        tmp_path, "episodes = 1\niters_per_episode = 3\nbuffer = 10000000000000000000\n"
+    )
+    out = str(tmp_path / "x")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    assert "2**53" in _config_error(capsys)["error"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("buffer,accepted", [(2**53 - 1, True), (2**53, False)])
+def test_buffer_bound_is_2_53(buffer, accepted):
+    values = {"buffer": str(buffer)}
+    if accepted:
+        assert build_train_config(values).params.B == buffer
+    else:
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            build_train_config(values)
+
+
+def test_huge_max_replicas_is_config_error_naming_the_row_size():
+    # Every visited history holds two Q-table rows of d entries: d = 1e8 with
+    # three training frames used to run out of memory. Only the config is
+    # built here; nothing trains.
+    with pytest.raises(ConfigurationError, match="rows of 100000000 entries"):
+        build_train_config({"max_replicas": "100000000", "episodes": "1"})
+    cap = env._MAX_REPLICAS
+    assert cap >= 8  # every preset, test and workload uses d <= 8
+    assert build_train_config({"max_replicas": str(cap)}).params.d == cap
+    with pytest.raises(ConfigurationError, match="Q-table rows"):
+        TrainConfig(params=LearningParams(d=cap + 1))
 
 
 @pytest.mark.parametrize(

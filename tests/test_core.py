@@ -208,6 +208,37 @@ def test_sic_matches_all_orders_on_random_frames():
         assert got == all_orders_decode(bursts, n_slots)
 
 
+#: User labels of the differential frames: integers and strings, mixed.
+_USER_LABELS = st.one_of(st.integers(-3, 20), st.text(alphabet="abxyz", min_size=1, max_size=3))
+
+
+@st.composite
+def _labelled_frames(draw):
+    """(n_slots, bursts): up to 8 users in up to 10 slots, each user's
+    distinct slots held as a list, a set or a frozenset."""
+    n_slots = draw(st.integers(1, 10))
+    users = draw(st.lists(_USER_LABELS, max_size=8, unique=True))
+    slots = st.lists(st.integers(0, n_slots - 1), min_size=1, max_size=n_slots, unique=True)
+    kinds = st.sampled_from((list, set, frozenset))
+    return n_slots, {user: draw(kinds)(draw(slots)) for user in users}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_labelled_frames())
+def test_simulate_frame_matches_oracle_and_batch_kernel(frame):
+    n_slots, bursts = frame
+    out = simulate_frame(bursts)
+    assert out.decoded == stopping_set_decode(bursts, n_slots)
+
+    users = list(bursts)
+    incidence = np.zeros((1, len(users), n_slots), dtype=bool)
+    for k, user in enumerate(users):
+        incidence[0, k, list(bursts[user])] = True
+    decoded, passes = _peel_frames(incidence)
+    assert {user for k, user in enumerate(users) if decoded[0, k]} == out.decoded
+    assert passes[0] == out.iterations
+
+
 # --- frame simulation -----------------------------------------------------
 
 

@@ -187,6 +187,20 @@ def test_step_frame_throughput_accounting():
         assert 0 <= res.decoded <= res.transmitting
 
 
+def test_frame_mean_reward_is_numpy_mean_bit_for_bit():
+    # From m = 8 on, numpy sums the rewards pairwise in blocks, not left to
+    # right; with exact integer partial sums the order cannot matter.
+    rng = np.random.default_rng(31)
+    for m in range(1, 41):
+        for B in (1, 7, 2**47):  # 40 * 2**47 < 2**53
+            params = LearningParams(B=B)
+            cfg = TrainConfig(n_nodes=m, params=params)
+            nodes = make_nodes([int(b) for b in rng.integers(0, B + 1, m)], params)
+            for _ in range(3):
+                res = step_frame(nodes, cfg, rng)
+                assert res.mean_reward.hex() == float(np.mean(res.rewards)).hex(), (m, B)
+
+
 @pytest.mark.parametrize(
     "arrivals", [ArrivalModel("bernoulli", 0.5), ArrivalModel("poisson", 1.5)],
     ids=["bernoulli", "poisson"],

@@ -184,6 +184,18 @@ def test_batch_update_matches_sequential_oracle_fuzz():
         assert abs(v1 - v2) < 1e-12
 
 
+@pytest.mark.parametrize("action", [0, 5])
+def test_batch_update_rejects_bad_action_before_any_write(action):
+    # (1, 1, 1) has members (0,0,0)..(5,5,5), none of them in the table yet.
+    params = _params(B=5, w=3, d=4)
+    q = QTable(params.d)
+    batch_update(q, (3, 2, 2), 2, -2.0, (2, 2, 2), params)
+    before = (q.to_lines(), q.history_visits())
+    with pytest.raises(ValueError, match="action"):
+        batch_update(q, (1, 1, 1), action, -1.0, (1, 1, 1), params)
+    assert (q.to_lines(), q.history_visits()) == before
+
+
 def test_batch_update_visit_counts_are_per_member():
     params = _params(B=3, w=2)
     q = QTable(params.d)
