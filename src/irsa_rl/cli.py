@@ -9,13 +9,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import config as configmod
-from .core import (
-    BASELINE_IRSA,
-    PURE_ALOHA,
-    simulate_slotted_aloha,
-    slotted_aloha_throughput,
-    uniform_distribution,
-)
+from .core import simulate_slotted_aloha, slotted_aloha_throughput
 from .agent import QTable
 from .env import (
     ConfigurationError,
@@ -26,9 +20,11 @@ from .env import (
     train,
 )
 from .harness import (
+    FIXED_POLICIES,
     compare_virtual,
     convergence_report,
     emit_report,
+    fixed_policies,
     run_sweep,
     waterfall_suite,
 )
@@ -113,16 +109,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _policy_from_variant(variant: str, cfg: TrainConfig):
-    if variant == "vanilla_irsa":
-        return BASELINE_IRSA
-    if variant == "slotted_aloha":
-        return PURE_ALOHA
-    if variant == "random_strategy":
-        return uniform_distribution(cfg.params.d)
-    raise ConfigurationError(f"unknown policy variant {variant!r}")
-
-
 def _load_checkpoint(path: str, d: int) -> QTable:
     """One node's trained table; a malformed file, or one with an action
     outside 1..d (the config's ``max_replicas``), is a configuration error."""
@@ -142,7 +128,12 @@ def cmd_eval(args) -> int:
         ]
         policy = deployed_policies(tables)
     else:
-        policy = _policy_from_variant(args.variant, cfg)
+        policy = fixed_policies(args.variant, cfg)
+        if policy is None:
+            raise ConfigurationError(
+                f"eval --variant {args.variant!r} is not a fixed policy: choose one of "
+                f"{', '.join(FIXED_POLICIES)}, or evaluate trained tables with --qtables"
+            )
     summary = evaluate(policy, cfg, args.trials, rng=np.random.default_rng(cfg.seed))
     print(
         f"throughput {summary.mean:.4f} +- {summary.stderr:.4f} "

@@ -23,16 +23,17 @@ building the incidence tensor + ``_peel_frames`` about 40 us (median of 50
 frames), both on a 2-core x86 host. On a batch it wins:
 ``simulate_saturated`` spends about 5 us per frame of 10 users in 10 slots
 and 62 us per frame of 40 users in 50 slots.
-All-degree-1 frames of 1000 users in 1000 slots take 27 us through
-``simulate_slotted_aloha``. These are whole-call figures, degree draws and
-placement included (median op latency over 10 benchmark runs of 30 s,
-2-core x86 host).
+All-degree-1 frames of 1000 users in 1000 slots take 16 us through
+``simulate_slotted_aloha`` (26 us when their degrees were drawn first).
+These are whole-call figures, degree draws and placement included (median
+op latency over 5 to 10 benchmark runs of 30 s, 2-core x86 host).
 
-``simulate_saturated`` draws every degree up front from one (users, frames)
-block of uniforms: row u is user u's, in the order a per-user
-``sample_degrees`` call would draw them. A d = 1 distribution always gives
-degree 1, so its row is not searched. Degrees are capped at N, and when all
-of them are 1 the frames go to ``simulate_slotted_aloha`` instead.
+``simulate_saturated`` picks its route before it draws: when every policy's
+maximum degree, capped at N, is 1 (``PURE_ALOHA``, or a one-slot frame), it
+returns ``simulate_slotted_aloha`` and draws no degrees. Otherwise row u of
+one (users, frames) block of uniforms holds user u's degree draws, in the
+order a per-user ``sample_degrees`` call would draw them; a d = 1 user's row
+is drawn but not searched. Degrees are capped at N.
 
 Both hot paths place replicas by argsort: the argsort of a row of N iid
 uniforms is a uniform random permutation of the slots, and its first l
@@ -277,15 +278,18 @@ def simulate_saturated(
 ) -> np.ndarray:
     """Per-frame decoded counts with every node backlogged (one packet per frame).
 
-    ``policies`` is either a single DegreeDistribution shared by all nodes or
-    a sequence with one distribution per node. Degrees above n_slots are
-    capped (distinct placement is impossible otherwise).
+    ``policies`` holds one DegreeDistribution per node. Degrees above n_slots
+    are capped (distinct placement is impossible otherwise). When every
+    capped maximum degree is 1, the frames go undrawn to
+    ``simulate_slotted_aloha``; frames whose drawn degrees are all 1 are peeled.
     """
     if isinstance(policies, DegreeDistribution):
         raise TypeError("pass an explicit per-node sequence or use [dist] * n_nodes")
     n_users = len(policies)
     if n_users == 0:
         return np.zeros(n_frames, dtype=np.int64)
+    if min(max(dist.d for dist in policies), n_slots) == 1:
+        return simulate_slotted_aloha(n_users, n_slots, n_frames, rng)
 
     # Row u holds the n_frames uniforms sample_degrees would draw for user u.
     uniforms = rng.random((n_users, n_frames))
@@ -295,12 +299,6 @@ def simulate_saturated(
             degrees[u] += np.searchsorted(dist._cdf, uniforms[u], side="right")
     del uniforms
     np.minimum(degrees, n_slots, out=degrees)
-
-    if np.all(degrees == 1):
-        # Degenerate all-singles case: reuse the vectorized path on the same
-        # number of frames (fresh draws; occupancy statistics are identical).
-        del degrees
-        return simulate_slotted_aloha(n_users, n_slots, n_frames, rng)
 
     counts = np.empty(n_frames, dtype=np.int64)
     chunk = max(1, int(2e5) // max(n_users * n_slots, 1))

@@ -174,14 +174,14 @@ class TrainConfig:
 class FrameResult:
     """Per-frame outcome across all nodes.
 
-    ``mean_reward`` is the mean of ``rewards`` taken from the integer buffer
-    levels: the exact mean, rounded once. ``TrainConfig`` keeps B below
-    2**53, so every reward is an exact float; while m * B < 2**53 every
-    partial sum is exact too, in any order, and ``mean_reward`` equals
-    ``float(rewards.mean())`` bit for bit.
+    ``mean_reward`` is the mean of the m nodes' rewards (minus the new buffer
+    level of a node that transmitted, 0 for a silent one), taken from the
+    integer buffer levels: the exact mean, rounded once. ``TrainConfig``
+    keeps B below 2**53, so every reward is an exact float; while m * B <
+    2**53 every partial sum is exact too, in any order, and ``mean_reward``
+    equals the numpy mean of the m rewards bit for bit.
     """
 
-    rewards: np.ndarray
     mean_reward: float
     throughput: float
     decoded: int
@@ -281,7 +281,6 @@ def step_frame(
             bursts[i] = ranks[i][:a]
     decoded = simulate_frame(bursts).decoded
 
-    rewards = [0.0] * m
     backlog = 0  # summed buffer levels of the transmitting nodes
     dropped = 0
     virtual = config.virtual_experience
@@ -294,14 +293,12 @@ def step_frame(
         node.history = shift_history(h_prev, b_new)
         if i in actions:
             r = reward(b_new)
-            rewards[i] = r
             backlog += b_new
             if virtual:
                 batch_update(node.q, h_prev, actions[i], r, node.history, params)
             else:
                 q_update(node.q, h_prev, actions[i], r, node.history, params)
     return FrameResult(
-        rewards=np.array(rewards),
         mean_reward=-backlog / m,
         throughput=len(decoded) / n_slots,
         decoded=len(decoded),

@@ -6,8 +6,9 @@ cell coordinates (``_cell_rng``), so results are byte-identical regardless of
 execution order or worker count, and distinct cells never share a stream.
 The sweep, the training-length ablation and the waterfall study build one
 config per group of repetitions, then run every cell through one
-train -> deploy -> evaluate function (``_cell``, where slotted ALOHA is a
-branch) and one repetition runner (``_summaries``).
+train -> deploy -> evaluate function (``_cell``) and one repetition runner
+(``_summaries``). ``fixed_policies`` gives the sweep, the waterfall study and
+``irsa-rl eval`` the policies of every variant that does not train.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -19,17 +20,14 @@ import os
 import numpy as np
 
 from .agent import LearningParams
-from .core import (
-    BASELINE_IRSA,
-    simulate_saturated,
-    simulate_slotted_aloha,
-    uniform_distribution,
-)
+from .core import BASELINE_IRSA, PURE_ALOHA, simulate_saturated, uniform_distribution
 from .env import ArrivalModel, ConfigurationError, TrainConfig, deployed_policies, train
 from .stats import Summary, t_interval
 
 __all__ = [
     "VARIANTS",
+    "FIXED_POLICIES",
+    "fixed_policies",
     "SweepSpec",
     "SweepRow",
     "LOW_LOAD_PARAMS",
@@ -52,6 +50,20 @@ VARIANTS = (
     "dec_rl_virtual",
     "random_strategy",
 )
+
+#: Variants that play one fixed degree distribution, a function of the
+#: replica cap d; every other variant trains.
+FIXED_POLICIES = {
+    "slotted_aloha": lambda d: PURE_ALOHA,
+    "vanilla_irsa": lambda d: BASELINE_IRSA,
+    "random_strategy": uniform_distribution,
+}
+
+
+def fixed_policies(variant: str, config: TrainConfig):
+    """Every node's ``FIXED_POLICIES`` distribution; None for a trained variant."""
+    policy = FIXED_POLICIES.get(variant)
+    return None if policy is None else [policy(config.params.d)] * config.m
 
 #: Learning preset tuned for light traffic (the base configuration).
 LOW_LOAD_PARAMS = LearningParams()
@@ -154,10 +166,6 @@ def _cell_seed(*key) -> int:
     return int(_cell_rng(*key).integers(2**63))
 
 
-#: ``policies`` of a slotted-ALOHA cell: every node sends one replica.
-_SLOTTED_ALOHA = "slotted_aloha"
-
-
 def _cell(master_seed, tags, coords, config, trials, policies) -> float:
     """Mean per-slot throughput of one train -> deploy -> evaluate cell.
 
@@ -165,13 +173,10 @@ def _cell(master_seed, tags, coords, config, trials, policies) -> float:
     the rest of the cell key. With ``policies`` None the cell trains
     ``config`` under its own seed and deploys every node's table; either way
     it then evaluates ``trials`` saturated frames on its own generator.
+    Slotted ALOHA is one such fixed policy, ``[PURE_ALOHA] * m``.
     """
     eval_tag, train_tag = tags
     rng = _cell_rng(master_seed, eval_tag, *coords)
-    if policies == _SLOTTED_ALOHA:
-        # simulate_saturated would draw degrees first: ALOHA keeps its own stream.
-        counts = simulate_slotted_aloha(config.m, config.n_slots, trials, rng)
-        return float(counts.mean() / config.n_slots)
     if policies is None:
         config = replace(config, seed=_cell_seed(master_seed, train_tag, *coords))
         nodes, _ = train(config)
@@ -225,13 +230,9 @@ def run_sweep(
         config = replace(
             base.with_load(load, n), virtual_experience=(variant == "dec_rl_virtual")
         )
-        # dec_rl and dec_rl_virtual train: SweepSpec admits no other variant.
-        policies = {
-            "slotted_aloha": _SLOTTED_ALOHA,
-            "vanilla_irsa": [BASELINE_IRSA] * config.m,
-            "random_strategy": [uniform_distribution(config.params.d)] * config.m,
-        }.get(variant)
-        groups.append(((VARIANTS.index(variant), load, n), config, policies))
+        groups.append(
+            ((VARIANTS.index(variant), load, n), config, fixed_policies(variant, config))
+        )
     summaries = _summaries(
         master_seed, (_SWEEP, _SWEEP_TRAIN), groups, spec.trials, spec.repetitions,
         spec.level, workers,
@@ -408,10 +409,9 @@ def waterfall_suite(
         "dec_rl_high": HIGH_LOAD_PARAMS,
     }
     groups = []
-    for (si, params), load in product(enumerate(schemes.values()), loads):
+    for (si, (scheme, params)), load in product(enumerate(schemes.items()), loads):
         config = replace(base.with_load(load), params=params or base.params)
-        policies = None if params else [uniform_distribution(config.params.d)] * config.m
-        groups.append(((si, load, base.n_slots), config, policies))
+        groups.append(((si, load, base.n_slots), config, fixed_policies(scheme, config)))
     summaries = _summaries(
         master_seed, (_WATERFALL_EVAL, _WATERFALL_TRAIN), groups, trials, repetitions, level
     )

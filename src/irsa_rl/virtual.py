@@ -8,10 +8,9 @@ inside [0, B]) can be updated with the same action: each member gets its own
 reconstructed successor and reward, keyed to its own absolute levels.
 
 ``batch_update`` is one kernel call per real transition, not one call per
-member: it takes the class's (member, successor, reward) moves from one
-``lru_cache`` keyed by (visited history, successor difference, B, w), so
-``transform`` and the class enumeration run once per distinct pair, and
-hands the whole tuple to ``agent.td_updates``. In the convergence preset
+member: it looks up the (member, successor, reward) moves of the visited
+history's class for the successor difference, one tuple shared by every
+member, and hands it whole to ``agent.td_updates``. In the convergence preset
 (w = 2, d = 8, B = 5) a batch updates about 5.4 members in about 4.2 us;
 with one ``q_update`` call per member it took 6.8 us (see ``agent``).
 """
@@ -102,16 +101,18 @@ def batch_update(
 
 @lru_cache(maxsize=None)
 def _moves(h_visited: History, c_next: int, B: int, w: int) -> tuple:
-    """(member, member_next, reward) of every member of h_visited's class whose
-    successor level stays inside [0, B], in canonical order (see
-    ``batch_update``).
+    """The moves of h_visited's class for c_next: a hit costs no ``transform``,
+    and every member of the class gets the one tuple ``_class_moves`` built."""
+    return _class_moves(transform(h_visited), c_next, B, w)
 
-    Each visited member of a class holds its own copy of the class's moves,
-    so the cache grows with B: about 1650 entries and 50 MB after a
-    3000-frame virtual run at B = 200, w = 2, against under 1 MB at B = 5.
-    """
+
+@lru_cache(maxsize=None)
+def _class_moves(key: VirtualKey, c_next: int, B: int, w: int) -> tuple:
+    """(member, member_next, reward) of every member of class ``key`` whose
+    successor level stays inside [0, B], in canonical order (see
+    ``batch_update``)."""
     moves = []
-    for member in enumerate_class(transform(h_visited), B, w):
+    for member in enumerate_class(key, B, w):
         successor_level = member[-1] - c_next
         if 0 <= successor_level <= B:
             moves.append((member, member[1:] + (successor_level,), reward(successor_level)))

@@ -16,8 +16,8 @@ import types
 import numpy as np
 import pytest
 
-from irsa_rl import env, harness
-from irsa_rl.core import simulate_frame
+from irsa_rl import core, env, harness
+from irsa_rl.core import PURE_ALOHA, simulate_frame
 from irsa_rl.env import TrainConfig, new_nodes, step_frame, train
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -101,6 +101,22 @@ def test_experiments_call_the_wrapped_harness_names(monkeypatch):
         run()
         for name in names:
             assert calls[name] > 0, (experiment, name)
+
+
+def test_slotted_aloha_calls_the_wrapped_names(monkeypatch):
+    # evaluate reaches the Slotted ALOHA runner through simulate_saturated's
+    # core global, and a slotted_aloha sweep cell through harness's
+    # simulate_saturated, so both stay traced.
+    aloha = _count_calls(monkeypatch, core, ("simulate_slotted_aloha",))
+    saturated = _count_calls(monkeypatch, harness, ("simulate_saturated",))
+    env.evaluate(PURE_ALOHA, TrainConfig(load=0.5), 5, np.random.default_rng(0))
+    assert aloha["simulate_slotted_aloha"] == 1
+    harness.run_sweep(
+        harness.SweepSpec(loads=(0.5,), variants=("slotted_aloha",), repetitions=2, trials=5),
+        TrainConfig(),
+    )
+    assert saturated["simulate_saturated"] == 2
+    assert aloha["simulate_slotted_aloha"] == 3
 
 
 def test_training_frames_call_the_wrapped_env_names(monkeypatch):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from irsa_rl import cli, config as configmod, env
@@ -10,6 +11,7 @@ from irsa_rl.agent import LearningParams
 from irsa_rl.cli import main
 from irsa_rl.config import build_sweep_spec, build_train_config, parse_config_file
 from irsa_rl.env import ConfigurationError, TrainConfig
+from irsa_rl.harness import FIXED_POLICIES
 
 
 def write_config(tmp_path, text):
@@ -385,6 +387,25 @@ def test_cli_rejects_non_positive_counts(tmp_path, capsys, command, flag, value)
     assert main(argv) == 2
     assert f"--{flag}" in _config_error(capsys)["error"]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("variant", ["slotted_aloha", "random_strategy"])
+def test_cli_eval_fixed_variant_is_the_harness_policy(tmp_path, capsys, variant):
+    cfg_path = write_config(tmp_path, "load = 0.6\nmax_replicas = 3\nseed = 4\n")
+    assert main(["eval", "--config", cfg_path, "--variant", variant, "--trials", "200"]) == 0
+    cfg = build_train_config(parse_config_file(cfg_path))
+    s = env.evaluate(FIXED_POLICIES[variant](3), cfg, 200, np.random.default_rng(4))
+    assert capsys.readouterr().out.startswith(f"throughput {s.mean:.4f} +- {s.stderr:.4f} ")
+
+
+@pytest.mark.parametrize("variant", ["dec_rl", "csma"])
+def test_cli_eval_rejects_a_variant_without_fixed_policy(capsys, variant):
+    # A trained variant has no policy until its tables are loaded.
+    assert main(["eval", "--variant", variant, "--trials", "10"]) == 2
+    error = _config_error(capsys)["error"]
+    assert repr(variant) in error
+    for fixed in ("slotted_aloha", "vanilla_irsa", "random_strategy", "--qtables"):
+        assert fixed in error
 
 
 def test_cli_eval_variant_and_qtables_are_exclusive(tmp_path, capsys):

@@ -331,11 +331,16 @@ def _replay_saturated(policies, n_slots, n_frames, seed):
 #: needs no search, and a d > N user, whose degree is capped.
 _MIXED = [PURE_ALOHA, uniform_distribution(3), LAMBDA_3, BASELINE_IRSA]
 
+#: d = 2, but every drawn degree is 1: these frames are peeled, not sent to
+#: the Slotted ALOHA runner.
+_ONES_D2 = DegreeDistribution((1.0, 0.0))
+
 
 @pytest.mark.parametrize(
     "n_slots,policies,n_frames",
-    [(10, [BASELINE_IRSA] * 10, 2500), (50, [BASELINE_IRSA] * 40, 250), (4, _MIXED, 13000)],
-    ids=["10-10-2500", "50-40-250", "mixed-4-13000"],
+    [(10, [BASELINE_IRSA] * 10, 2500), (50, [BASELINE_IRSA] * 40, 250), (4, _MIXED, 13000),
+     (6, [_ONES_D2] * 8, 5000)],
+    ids=["10-10-2500", "50-40-250", "mixed-4-13000", "ones-d2-6-5000"],
 )
 def test_simulate_saturated_replays_sic_decode_exactly(n_slots, policies, n_frames):
     # every size spans more than one 2e5-element chunk
@@ -343,18 +348,23 @@ def test_simulate_saturated_replays_sic_decode_exactly(n_slots, policies, n_fram
     assert np.array_equal(batched, _replay_saturated(policies, n_slots, n_frames, 21))
 
 
-@pytest.mark.parametrize("m,n_slots,n_frames", [(7, 5, 300), (1000, 1000, 20)])
-def test_simulate_saturated_all_aloha_stream(m, n_slots, n_frames):
-    # All degree-1 users: one degree uniform per user and frame, drawn user
-    # by user, then the Slotted ALOHA runner on the same generator.
+@pytest.mark.parametrize(
+    "policy,m,n_slots,n_frames",
+    [(PURE_ALOHA, 7, 5, 300), (PURE_ALOHA, 1000, 1000, 20), (BASELINE_IRSA, 3, 1, 50),
+     (BASELINE_IRSA, 1, 1, 50)],
+    ids=["7-5-300", "1000-1000-20", "irsa-3-1-50", "irsa-1-1-50"],
+)
+def test_simulate_saturated_all_aloha_stream(policy, m, n_slots, n_frames):
+    # Every capped maximum degree min(d, N) is 1 (d = 1, or one slot): no
+    # degree draws, only the Slotted ALOHA runner on the untouched generator.
     rng = np.random.default_rng(22)
-    got = simulate_saturated([PURE_ALOHA] * m, n_slots, n_frames, rng)
+    got = simulate_saturated([policy] * m, n_slots, n_frames, rng)
     ref_rng = np.random.default_rng(22)
-    for _ in range(m):
-        ref_rng.random(n_frames)
     ref = simulate_slotted_aloha(m, n_slots, n_frames, ref_rng)
     assert np.array_equal(got, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if n_slots == 1:
+        assert np.all(got == (m == 1))
 
 
 @pytest.mark.parametrize("m,n_slots", [(3, 4), (4, 4), (3, 5), (3, 2)])

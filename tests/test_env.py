@@ -126,7 +126,7 @@ def test_step_frame_all_empty_buffers():
     nodes = make_nodes([0] * cfg.m, params)
     res = step_frame(nodes, cfg, np.random.default_rng(1))
     assert res.throughput == 0.0
-    assert np.all(res.rewards == 0.0)
+    assert res.mean_reward == 0.0
     assert all(len(n.q) == 0 for n in nodes)  # no updates happened
 
 
@@ -140,7 +140,7 @@ def test_step_frame_single_node_drains():
         # a lone transmitter always decodes; buffer becomes the fresh arrival
         assert res.decoded == 1
         f = nodes[0].buffer
-        assert res.rewards[0] == -float(f)
+        assert res.mean_reward == -float(f)
         assert nodes[0].history[-1] == f
 
 
@@ -189,7 +189,9 @@ def test_step_frame_throughput_accounting():
 
 def test_frame_mean_reward_is_numpy_mean_bit_for_bit():
     # From m = 8 on, numpy sums the rewards pairwise in blocks, not left to
-    # right; with exact integer partial sums the order cannot matter.
+    # right; with exact integer partial sums the order cannot matter. A node
+    # that held packets before the frame transmitted and is rewarded with
+    # minus its new level; a silent node gets 0.
     rng = np.random.default_rng(31)
     for m in range(1, 41):
         for B in (1, 7, 2**47):  # 40 * 2**47 < 2**53
@@ -197,8 +199,10 @@ def test_frame_mean_reward_is_numpy_mean_bit_for_bit():
             cfg = TrainConfig(n_nodes=m, params=params)
             nodes = make_nodes([int(b) for b in rng.integers(0, B + 1, m)], params)
             for _ in range(3):
+                sent = [n.buffer > 0 for n in nodes]
                 res = step_frame(nodes, cfg, rng)
-                assert res.mean_reward.hex() == float(np.mean(res.rewards)).hex(), (m, B)
+                rewards = [-float(n.buffer) if s else 0.0 for n, s in zip(nodes, sent)]
+                assert res.mean_reward.hex() == float(np.mean(rewards)).hex(), (m, B)
 
 
 @pytest.mark.parametrize(

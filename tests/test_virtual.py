@@ -1,8 +1,10 @@
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from irsa_rl import virtual
 from irsa_rl.agent import LearningParams, QTable, learning_rate, q_update
 from irsa_rl.virtual import (
     batch_update,
@@ -210,6 +212,78 @@ def test_batch_update_visit_counts_are_per_member():
     # alpha for the next update of (2,2) reflects two prior visits
     assert learning_rate(q.visits(h, 1), params) == pytest.approx(1.111 * 0.81)
 
+
+def test_class_members_share_one_move_tuple():
+    # Every member of a class holds the same moves for a successor difference;
+    # one copy per visited member grew the cache with B.
+    B, w, c_next = 200, 2, 1
+    members = enumerate_class((1,), B, w)
+    first = virtual._moves(members[0], c_next, B, w)
+    assert len(first) == B - 1  # member (1, 0) would drain below 0
+    for member in (members[1], members[-1]):
+        assert virtual._moves(member, c_next, B, w) is first
+
+
+def test_move_cache_hit_does_not_transform(monkeypatch):
+    params = _params(B=9, w=3)
+    h, h_next = (7, 5, 6), (5, 6, 4)
+    batch_update(QTable(params.d), h, 1, -4.0, h_next, params)
+    calls = []
+    monkeypatch.setattr(virtual, "transform", lambda h: calls.append(h) or transform(h))
+    batch_update(QTable(params.d), h, 1, -4.0, h_next, params)
+    assert calls == []
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_update_matches_sequential_oracle_property(data):
+    # Two transitions on a table pre-filled with q values and visit counts,
+    # mostly on the classes' members and their successors, so alpha and the
+    # successor maxima vary: one from a random history, and one from a ramp
+    # of constant step whose successor continues the ramp where it can. On a
+    # ramp, members update each other's successors within one batch, so their
+    # order matters; it shows in a row's max once every action of the row has
+    # a negative value, as at d = 1. B is drawn largest first and the step
+    # nonzero and at most (B - 2) / (w - 1), so that the ramp's class has at
+    # least two moves whenever B allows it.
+    B = data.draw(st.sampled_from(range(8, 0, -1)))
+    w = data.draw(st.integers(2, 4))
+    params = _params(B=B, w=w, d=data.draw(st.sampled_from((1, 3))))
+    level = st.integers(0, B)
+    steepest = max(B - 2, 0) // (w - 1)
+    steps = [c for c in range(-steepest, steepest + 1) if c] or [0]
+    step = data.draw(st.sampled_from(steps))
+    ramps = [tuple(b - k * step for k in range(w)) for b in range(B + 1)]
+    ramp = data.draw(st.sampled_from([r for r in ramps if min(r) >= 0 and max(r) <= B]))
+    trend = ramp[-1] - step
+    transitions = [
+        (data.draw(st.tuples(*[level] * w)), data.draw(level)),
+        (ramp, trend if 0 <= trend <= B else data.draw(level)),
+    ]
+    near = [
+        history
+        for h, succ in transitions
+        for member in enumerate_class(transform(h), B, w)
+        for history in (member, member[1:] + (member[-1] - h[-1] + succ,))
+        if 0 <= history[-1] <= B
+    ]
+    entries = data.draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(near), st.tuples(*[level] * w)),
+        st.integers(1, params.d),
+        st.floats(-B / (1 - params.gamma), 0.0),
+        st.integers(1, 5),
+    ), max_size=12))
+    tables = QTable(params.d), QTable(params.d)
+    for q in tables:
+        for entry_h, entry_a, value, visits in entries:
+            for _ in range(visits):
+                q.record(entry_h, entry_a, value)
+    for h, succ in transitions:
+        a, h_next = data.draw(st.integers(1, params.d)), h[1:] + (succ,)
+        batch_update(tables[0], h, a, float(-succ), h_next, params)
+        sequential_oracle(tables[1], h, a, h_next, params)
+    exact = [[(e_h, e_a, v.hex(), n) for e_h, e_a, v, n in sorted(q.items())] for q in tables]
+    assert exact[0] == exact[1]
 
 # --- statistical validation of the coverage-speedup predictions --------------------
 
