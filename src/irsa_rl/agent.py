@@ -20,8 +20,7 @@ updated history. Learning rates come from a per-``LearningParams`` list of
 ``learning_rate`` values, extended on demand, instead of a call per update.
 A ``q_update`` takes about 1.6 us (w = 4, d = 4, best of 20 runs of 3000
 random transitions). A virtual batch of the convergence preset takes about
-4.2 us for its ~5.4 moves, against 6.8 us when every member went through
-``q_update`` (best of 15 interleaved replays of one run's 19.9k batches).
+4.2 us for its ~5.4 moves (best of 15 replays of one run's 19.9k batches).
 Both on a 2-core x86 host.
 
 A note on the learning-rate schedule: the default geometric schedule
@@ -315,8 +314,6 @@ def extract_policy(q: QTable) -> DegreeDistribution:
     """
     weights = [0.0] * q.d
     for h, visits in q.history_visits().items():
-        if visits <= 0:
-            continue
         ties = q.greedy_actions(h)
         share = visits / len(ties)
         for a in ties:

@@ -7,33 +7,31 @@ reveals that user, whose replicas are then cancelled everywhere (perfect
 interference cancellation, zero noise, and ideal side information about
 where a decoded user's replicas sit). Peeling repeats to a fixed point.
 
-There are two peeling kernels, one per call shape. ``_peel`` peels one
-frame held as a user -> slot-list mapping: it builds the slot -> users lists
-once, and each pass visits only the slots that the previous pass's
-cancellations left with one user. ``simulate_frame`` is the one
-single-frame decoder, called once per training frame by ``env.step_frame``
-and by the tests that check decoding against brute-force oracles.
-``_peel_frames`` peels a whole (frames, users, slots) incidence tensor at
-once; ``simulate_saturated`` uses it. Both keep the same fixed point and pass
-count. The kernel does not take the single-frame path, because it loses at
-one frame: for one frame of 10 users in 10 slots with ``BASELINE_IRSA``
-degrees, ``simulate_frame`` takes about 6 us (7.5 us when every pass
-rescanned the slots; best of 40 interleaved runs of 500 frames) and
-building the incidence tensor + ``_peel_frames`` about 40 us (median of 50
-frames), both on a 2-core x86 host. On a batch it wins:
-``simulate_saturated`` spends about 5 us per frame of 10 users in 10 slots
-and 62 us per frame of 40 users in 50 slots.
-All-degree-1 frames of 1000 users in 1000 slots take 16 us through
-``simulate_slotted_aloha`` (26 us when their degrees were drawn first).
-These are whole-call figures, degree draws and placement included (median
-op latency over 5 to 10 benchmark runs of 30 s, 2-core x86 host).
+There are two peeling kernels, one per call shape. ``simulate_frame`` peels
+one frame held as a user -> slot-list mapping: it builds the slot -> users
+lists once, and each pass visits only the slots that the previous pass's
+cancellations left with one user. It is the one single-frame decoder, called
+once per training frame by ``env.step_frame`` and by the tests that check
+decoding against brute-force oracles. ``_peel_frames`` peels a whole
+(frames, users, slots) incidence tensor at once; ``simulate_saturated`` uses
+it. Both keep the same fixed point and pass count. The kernel does not take
+the single-frame path, because it loses at one frame: for one frame of 10
+users in 10 slots with ``BASELINE_IRSA`` degrees, ``simulate_frame`` takes
+about 6 us (best of 40 interleaved runs of 500 frames) and building the
+incidence tensor + ``_peel_frames`` about 40 us (median of 50 frames), both
+on a 2-core x86 host. On a batch it wins: ``simulate_saturated`` spends
+about 5 us per frame of 10 users in 10 slots and 62 us per frame of 40 users
+in 50 slots. All-degree-1 frames of 1000 users in 1000 slots take 16 us
+through ``simulate_slotted_aloha``. These are whole-call figures, degree
+draws and placement included (median op latency over 5 to 10 benchmark runs
+of 30 s, 2-core x86 host).
 
-``simulate_saturated`` picks its route before it draws: when every policy's
-maximum degree, capped at N, is 1 (``PURE_ALOHA``, or a one-slot frame), it
-returns ``simulate_slotted_aloha`` and draws no degrees. Otherwise row u of
-one (users, frames) block of uniforms holds user u's degree draws, in the
-order a per-user ``sample_degrees`` call would draw them; a d = 1 user's row
-is drawn but not searched. Degrees are capped at N.
+Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
+its route before it draws: when every policy's maximum degree, capped at N,
+is 1 (``PURE_ALOHA``, or a one-slot frame), it returns
+``simulate_slotted_aloha`` and draws no degrees. Otherwise it draws each
+user's n_frames degrees with one ``sample_degrees`` call, in user order, and
+caps them at N.
 
 Both hot paths place replicas by argsort: the argsort of a row of N iid
 uniforms is a uniform random permutation of the slots, and its first l
@@ -41,7 +39,7 @@ entries are a uniform l-subset. ``simulate_saturated`` ranks whole chunks
 this way and sets each (frame, user) row's first l ranks in the flattened
 incidence tensor with one index; ``env.step_frame`` ranks one row per node
 of its per-frame draw block and hands the prefixes to ``simulate_frame``.
-``place_replicas`` and ``sample_degree`` draw test frames one user at a time.
+``place_replicas`` places one test user's replicas at a time.
 
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
@@ -59,7 +57,6 @@ __all__ = [
     "DecodeOutcome",
     "BASELINE_IRSA",
     "PURE_ALOHA",
-    "sample_degree",
     "sample_degrees",
     "place_replicas",
     "simulate_frame",
@@ -129,25 +126,15 @@ def uniform_distribution(d: int) -> DegreeDistribution:
 
 
 class DecodeOutcome(NamedTuple):
-    """Result of SIC peeling: decoded users and the number of peeling passes.
-
-    A named tuple around the peeler's own set, because ``simulate_frame`` runs
-    once per training frame: a frozen dataclass and a frozenset copy of
-    ``decoded`` cost 0.5 us of its 6.4 us per frame of 10 users in 10 slots
-    (median of 60 interleaved runs of 500 frames, 2-core x86 host).
-    """
+    """Result of SIC peeling: decoded users and the number of peeling passes."""
 
     decoded: set
     iterations: int
 
 
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Draw one replica count l in [1, d] from the distribution."""
-    return int(np.searchsorted(dist._cdf, rng.random(), side="right")) + 1
-
-
 def sample_degrees(dist: DegreeDistribution, size, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sample_degree."""
+    """Draw ``size`` replica counts in [1, d] from the distribution, one
+    uniform each, in order."""
     return np.searchsorted(dist._cdf, rng.random(size), side="right").astype(np.int64) + 1
 
 
@@ -164,48 +151,13 @@ def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[
     return frozenset(int(s) for s in rng.choice(n_slots, size=l, replace=False))
 
 
-def _peel(bursts: dict) -> tuple[set, int]:
-    """Peeling fixed point over a user -> distinct-slots mapping.
-
-    Each pass decodes every currently-singleton slot's user, then cancels all
-    replicas of the newly decoded users. Only productive passes are counted,
-    so iterations <= number of users. The slot -> users lists are built once;
-    cancelling a user removes it from its slots' lists, and a list left with
-    one user queues that slot for the next pass, so no pass rescans the frame.
-    """
-    members: dict = {}
-    for user, slots in bursts.items():
-        for s in slots:
-            if s in members:
-                members[s].append(user)
-            else:
-                members[s] = [user]
-
-    decoded = set()
-    passes = 0
-    newly = {users[0] for users in members.values() if len(users) == 1}
-    while newly:
-        passes += 1
-        decoded |= newly
-        singles = []
-        for user in newly:
-            for s in bursts[user]:
-                users = members[s]
-                users.remove(user)
-                if len(users) == 1:
-                    singles.append(users)
-        # A queued slot may lose its last user later in the same pass.
-        newly = {users[0] for users in singles if users}
-    return decoded, passes
-
-
 def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Peeling fixed point over a (frames, users, slots) bool incidence tensor.
 
     Every round computes the slot loads, decodes the users of singleton slots
-    (load 1) and clears their rows, exactly one ``_peel`` pass per frame.
-    Returns the (frames, users) decoded flags and the (frames,) count of
-    productive passes; rounds continue only on frames that made progress.
+    (load 1) and clears their rows, exactly one ``simulate_frame`` pass per
+    frame. Returns the (frames, users) decoded flags and the (frames,) count
+    of productive passes; rounds continue only on frames that made progress.
     """
     n_frames, n_users, _ = incidence.shape
     decoded = np.zeros((n_frames, n_users), dtype=bool)
@@ -231,10 +183,38 @@ def simulate_frame(bursts: dict) -> DecodeOutcome:
     """Decode one frame: ``bursts`` maps each user to the distinct slots of
     its replicas. The result is independent of peeling order.
 
+    Each pass decodes every currently-singleton slot's user, then cancels all
+    replicas of the newly decoded users. Only productive passes are counted,
+    so iterations <= number of users. The slot -> users lists are built once;
+    cancelling a user removes it from its slots' lists, and a list left with
+    one user queues that slot for the next pass, so no pass rescans the frame.
+
     One frame carries at most one packet per user, so a user's goodput is 1
     if it is in ``decoded`` and 0 otherwise.
     """
-    decoded, passes = _peel(bursts)
+    members: dict = {}
+    for user, slots in bursts.items():
+        for s in slots:
+            if s in members:
+                members[s].append(user)
+            else:
+                members[s] = [user]
+
+    decoded = set()
+    passes = 0
+    newly = {users[0] for users in members.values() if len(users) == 1}
+    while newly:
+        passes += 1
+        decoded |= newly
+        singles = []
+        for user in newly:
+            for s in bursts[user]:
+                users = members[s]
+                users.remove(user)
+                if len(users) == 1:
+                    singles.append(users)
+        # A queued slot may lose its last user later in the same pass.
+        newly = {users[0] for users in singles if users}
     return DecodeOutcome(decoded, passes)
 
 
@@ -297,19 +277,12 @@ def simulate_saturated(
     if min(max(dist.d for dist in policies), n_slots) == 1:
         return simulate_slotted_aloha(n_users, n_slots, n_frames, rng)
 
-    # Row u holds the n_frames uniforms sample_degrees would draw for user u.
-    uniforms = rng.random((n_users, n_frames))
-    degrees = np.ones((n_users, n_frames), dtype=np.int64)
-    for u, dist in enumerate(policies):
-        if dist.d > 1:
-            degrees[u] += np.searchsorted(dist._cdf, uniforms[u], side="right")
-    del uniforms
+    degrees = np.stack([sample_degrees(dist, n_frames, rng) for dist in policies], axis=1)
     np.minimum(degrees, n_slots, out=degrees)
 
     counts = np.empty(n_frames, dtype=np.int64)
     chunk = max(1, int(2e5) // max(n_users * n_slots, 1))
     ranks = np.arange(n_slots)
-    degrees = degrees.T
     done = 0
     while done < n_frames:
         f = min(chunk, n_frames - done)

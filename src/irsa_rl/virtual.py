@@ -11,8 +11,8 @@ reconstructed successor and reward, keyed to its own absolute levels.
 member: it looks up the (member, successor, reward) moves of the visited
 history's class for the successor difference, one tuple shared by every
 member, and hands it whole to ``agent.td_updates``. In the convergence preset
-(w = 2, d = 8, B = 5) a batch updates about 5.4 members in about 4.2 us;
-with one ``q_update`` call per member it took 6.8 us (see ``agent``).
+(w = 2, d = 8, B = 5) a batch updates about 5.4 members in about 4.2 us
+(see ``agent``).
 """
 
 from functools import lru_cache

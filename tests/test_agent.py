@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -366,6 +367,46 @@ def test_qtable_len_counts_visited_entries_only():
     q.record((0, 0, 0, 1), 1, -1.0)
     assert len(q) == 2
     assert len(QTable.from_lines(q.to_lines(), 4)) == 2
+
+
+# Negative and positive subnormals and -0.0 besides arbitrary non-NaN floats:
+# the checkpoint writes repr, which must read back to the same bits.
+_Q_VALUES = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, -2.5e-310]), st.floats(allow_nan=False)
+)
+_ENTRY = st.tuples(_Q_VALUES, st.integers(1, 10**20))
+
+
+@st.composite
+def _tables(draw):
+    d = draw(st.integers(1, 8))
+    history = st.tuples(*[st.integers(0, 10**12)] * draw(st.integers(1, 4)))
+    entries = draw(
+        st.dictionaries(st.tuples(history, st.integers(1, d)), _ENTRY, max_size=12)
+    )
+    if draw(st.booleans()):  # one history with every action 1..d
+        h = draw(history)
+        entries.update({(h, a): draw(_ENTRY) for a in range(1, d + 1)})
+    table = QTable(d)
+    for (h, a), (q_value, visits) in entries.items():
+        q_row, n_row = table._rows(h, a)
+        q_row[a - 1], n_row[a - 1] = q_value, visits
+    return table
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(table=_tables())
+@example(table=QTable(3))
+def test_qtable_checkpoint_round_trip(tmp_path_factory, table):
+    lines = table.to_lines()
+    path = tmp_path_factory.getbasetemp() / "roundtrip.qtable"
+    table.save(path)
+    if not lines:
+        assert path.read_text() == "\n"  # read back through the blank-line skip
+    for back in (QTable.from_lines(lines, table.d), QTable.load(path, table.d)):
+        assert back.to_lines() == lines
+        assert sorted(back.items()) == sorted(table.items())
+        assert back.history_visits() == table.history_visits()
 
 
 def test_history_helpers():

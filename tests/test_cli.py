@@ -304,6 +304,22 @@ def _config_error(capsys) -> dict:
     return payload
 
 
+@pytest.mark.parametrize(
+    "argv", [["train"], ["baseline", "--trials", "10"]], ids=["train", "baseline"]
+)
+def test_cli_out_naming_a_file_is_io_error(tmp_path, capsys, argv):
+    # exit 1 with one JSON line of kind "io"; the file is left as it was
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err  # no traceback
+    payload = json.loads(err)
+    assert payload["kind"] == "io"
+    assert str(out) in payload["error"]
+    assert out.read_text() == "keep\n"
+
+
 def test_cli_waterfall_reads_ci_level(tmp_path):
     base = "loads = 0.3\nepisodes = 2\nrepetitions = 3\ntrials = 20\n"
     tables = []
@@ -425,6 +441,13 @@ def test_cli_eval_variant_and_qtables_are_exclusive(tmp_path, capsys):
         "loads = 0.3, nan",
         "alpha_base = nan",
         "arrival_kind = poisson\narrival_param = inf",
+        "gamma = 1.0",
+        "phi = 0.5",
+        "alpha_decay = 0",
+        "n_slots = 0",
+        "frame_sizes = 0",
+        "repetitions = 0",
+        "virtual_experience = maybe",
     ],
 )
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, line):
@@ -548,6 +571,18 @@ _PINNED_RUNS = {
         "",
         ["--seed", "5", "--trials", "2000"],
         "b86ff064aa25d37b49e60c8b287b8d620f49bed724d792cb37ed45171be9eecd",
+    ),
+    "convergence": (
+        "convergence.csv",
+        "loads = 0.6\n",
+        ["--seed", "5", "--reps", "2"],
+        "061344c324b83cabfcdf839065c8c484d350ccb696e9d02362cf9a91f3653b37",
+    ),
+    "virtual-compare": (
+        "virtual_compare.csv",
+        "load = 0.6\n",
+        ["--seed", "5", "--reps", "2", "--trials", "20"],
+        "95aa6c985bf0ca4ec266a00e3035f2a554a12fabe9b7a742a283265d23848262",
     ),
 }
 

@@ -8,7 +8,6 @@ from irsa_rl.core import (
     PURE_ALOHA,
     DegreeDistribution,
     place_replicas,
-    sample_degree,
     sample_degrees,
     simulate_frame,
     simulate_saturated,
@@ -59,7 +58,7 @@ def test_distribution_rejects_bad_coeffs(terms):
 def test_sample_degree_degenerate():
     rng = np.random.default_rng(0)
     one = DegreeDistribution.from_terms({1: 1.0})
-    assert all(sample_degree(one, rng) == 1 for _ in range(100))
+    assert all(sample_degrees(one, 1, rng)[0] == 1 for _ in range(100))
 
 
 def test_sample_degree_matches_baseline_frequencies():
@@ -76,8 +75,8 @@ def test_sample_degree_matches_baseline_frequencies():
 
 def test_sample_degree_reproducible():
     dist = DegreeDistribution.from_terms({1: 0.5, 2: 0.5})
-    a = [sample_degree(dist, np.random.default_rng(7)) for _ in range(50)]
-    b = [sample_degree(dist, np.random.default_rng(7)) for _ in range(50)]
+    a = [sample_degrees(dist, 1, np.random.default_rng(7))[0] for _ in range(50)]
+    b = [sample_degrees(dist, 1, np.random.default_rng(7))[0] for _ in range(50)]
     assert a == b
 
 
@@ -286,8 +285,8 @@ def test_simulate_saturated_matches_per_frame_simulation():
     rng2 = np.random.default_rng(14)
     total = 0
     for _ in range(frames):
-        users = [(u, min(sample_degree(BASELINE_IRSA, rng2), n)) for u in range(m)]
-        out = simulate_frame({u: place_replicas(l, n, rng2) for u, l in users})
+        degrees = np.minimum(sample_degrees(BASELINE_IRSA, m, rng2), n)
+        out = simulate_frame({u: place_replicas(int(l), n, rng2) for u, l in enumerate(degrees)})
         total += len(out.decoded)
     looped = total / frames / n
     assert abs(batched - looped) < 0.01
