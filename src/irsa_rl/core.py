@@ -20,11 +20,12 @@ users in 10 slots with ``BASELINE_IRSA`` degrees, ``simulate_frame`` takes
 about 6 us (best of 40 interleaved runs of 500 frames) and building the
 incidence tensor + ``_peel_frames`` about 40 us (median of 50 frames), both
 on a 2-core x86 host. On a batch it wins: ``simulate_saturated`` spends
-about 5 us per frame of 10 users in 10 slots and 62 us per frame of 40 users
-in 50 slots. All-degree-1 frames of 1000 users in 1000 slots take 16 us
-through ``simulate_slotted_aloha``. These are whole-call figures, degree
-draws and placement included (median op latency over 5 to 10 benchmark runs
-of 30 s, 2-core x86 host).
+about 2.5 us per frame of 10 users in 10 slots and 35 us per frame of 40
+users in 50 slots. All-degree-1 frames of 1000 users in 1000 slots take
+8.7 us through ``simulate_slotted_aloha``. These are whole-call figures,
+degree draws and placement included (per-shape median op latency, in the
+benchmark's reference seconds, over ten 20 s ``saturated_eval`` runs on a
+2-core x86 host).
 
 Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
 its route before it draws: when every policy's maximum degree, capped at N,
@@ -33,13 +34,16 @@ is 1 (``PURE_ALOHA``, or a one-slot frame), it returns
 user's n_frames degrees with one ``sample_degrees`` call, in user order, and
 caps them at N.
 
-Both hot paths place replicas by argsort: the argsort of a row of N iid
-uniforms is a uniform random permutation of the slots, and its first l
-entries are a uniform l-subset. ``simulate_saturated`` ranks whole chunks
-this way and sets each (frame, user) row's first l ranks in the flattened
-incidence tensor with one index; ``env.step_frame`` ranks one row per node
+The two hot paths place replicas from rows of N iid uniforms. The argsort
+of such a row is a uniform random permutation of the slots, and its first
+l entries are a uniform l-subset: ``env.step_frame`` ranks one row per node
 of its per-frame draw block and hands the prefixes to ``simulate_frame``.
-``place_replicas`` places one test user's replicas at a time.
+``simulate_saturated`` needs the subset but not its order, so
+``_place_rows`` sorts each row, takes its l-th smallest uniform as a
+threshold and keeps the slots at or below it: the same l slots, with a tie
+across the threshold going to the lower slot. Both saturated runners work
+in chunks of ``_CHUNK_ELEMENTS`` draws. ``place_replicas`` places one test
+user's replicas at a time.
 
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
@@ -67,6 +71,13 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
+
+#: Elements per chunk of the saturated runners: (frame, user, slot) uniforms
+#: in ``simulate_saturated``, (frame, user) slot draws in
+#: ``simulate_slotted_aloha``. At 8 bytes each a chunk's draws fill 1 MiB,
+#: half of a 2 MiB per-core L2 cache; on the benchmark's shapes it ran
+#: faster than chunks of 2e5 or 4e6 elements.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,25 @@ def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[
     if l == 1:
         return frozenset((int(rng.integers(n_slots)),))
     return frozenset(int(s) for s in rng.choice(n_slots, size=l, replace=False))
+
+
+def _place_rows(uniforms: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Bool incidence that keeps, in each row of ``uniforms`` (last axis =
+    slots), the l smallest entries, l from the matching entry of ``degrees``.
+
+    These are the slots of the first l entries of the row's argsort, a
+    uniform l-subset when the row is iid uniform. A row keeps every entry at
+    or below its l-th smallest value; equal values across that threshold
+    (about N**2 * 2**-54 per row for 53-bit uniforms) would keep more than
+    l, so those rows are redone by stable rank, the lower slot first.
+    """
+    threshold = np.take_along_axis(np.sort(uniforms, axis=-1), degrees[..., None] - 1, axis=-1)
+    incidence = uniforms <= threshold
+    if np.count_nonzero(incidence) != degrees.sum():
+        tied = incidence.sum(axis=-1) > degrees
+        ranks = np.argsort(np.argsort(uniforms[tied], axis=-1, kind="stable"), axis=-1)
+        incidence[tied] = ranks < degrees[tied][:, None]
+    return incidence
 
 
 def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +273,10 @@ def simulate_slotted_aloha(
     Carlo runs as chunked bincounts. Used for large-N throughput curves.
     """
     counts = np.empty(n_frames, dtype=np.int64)
-    chunk = max(1, int(4e6) // max(n_users, 1))
+    # Draws below 2**32 take 32-bit outputs, and the generator keeps the
+    # spare half of a 64-bit output between calls, so chunking leaves the
+    # stream as one (n_frames, n_users) draw would have it.
+    chunk = max(1, _CHUNK_ELEMENTS // max(n_users, 1))
     done = 0
     while done < n_frames:
         f = min(chunk, n_frames - done)
@@ -271,6 +304,8 @@ def simulate_saturated(
     """
     if isinstance(policies, DegreeDistribution):
         raise TypeError("pass an explicit per-node sequence or use [dist] * n_nodes")
+    if n_slots < 1:
+        raise ValueError("a frame needs at least one slot")
     n_users = len(policies)
     if n_users == 0:
         return np.zeros(n_frames, dtype=np.int64)
@@ -281,20 +316,14 @@ def simulate_saturated(
     np.minimum(degrees, n_slots, out=degrees)
 
     counts = np.empty(n_frames, dtype=np.int64)
-    chunk = max(1, int(2e5) // max(n_users * n_slots, 1))
-    ranks = np.arange(n_slots)
+    chunk = min(n_frames, max(1, _CHUNK_ELEMENTS // (n_users * n_slots)))
+    # Every chunk draws into one buffer: a fresh 1 MiB array per chunk had the
+    # allocator hand its heap back and page-fault it in again on most chunks.
+    uniforms = np.empty((chunk, n_users, n_slots))
     done = 0
     while done < n_frames:
         f = min(chunk, n_frames - done)
-        # Row-wise argsort of iid uniforms = one independent random
-        # permutation of the slots per (frame, user); the first l entries
-        # are a uniform l-subset. Adding each row's flat offset
-        # (frame * n_users + user) * n_slots turns the first l entries into
-        # indices of the flattened incidence tensor.
-        order = np.argsort(rng.random((f, n_users, n_slots)), axis=2)
-        order += np.arange(0, f * n_users * n_slots, n_slots).reshape(f, n_users, 1)
-        incidence = np.zeros((f, n_users, n_slots), dtype=bool)
-        incidence.reshape(-1)[order[ranks < degrees[done : done + f, :, None]]] = True
+        incidence = _place_rows(rng.random(out=uniforms[:f]), degrees[done : done + f])
         decoded, _ = _peel_frames(incidence)
         counts[done : done + f] = decoded.sum(axis=1)
         done += f

@@ -51,6 +51,17 @@ def subset_masks(n_users: int) -> np.ndarray:
     return ((bits[:, None] >> np.arange(n_users)) & 1).astype(np.int64)
 
 
+def stable_argsort_placement(uniforms: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Replica incidence by rank: each row of ``uniforms`` (last axis = slots)
+    sets the first l entries of its stable argsort, l from ``degrees``, so a
+    tie goes to the lower slot index."""
+    order = np.argsort(uniforms, axis=-1, kind="stable")
+    incidence = np.zeros(uniforms.shape, dtype=bool)
+    for row in np.ndindex(degrees.shape):
+        incidence[row][order[row][: degrees[row]]] = True
+    return incidence
+
+
 def all_orders_decode(bursts: dict, n_slots: int) -> set:
     """Explore every possible peeling order and check they all agree.
 

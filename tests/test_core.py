@@ -14,7 +14,9 @@ from irsa_rl.core import (
     simulate_slotted_aloha,
     slotted_aloha_throughput,
     uniform_distribution,
+    _CHUNK_ELEMENTS,
     _peel_frames,
+    _place_rows,
 )
 
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from oracles import (
     all_orders_decode,
     enumerate_frames,
     exact_mean_decoded,
+    stable_argsort_placement,
     stopping_set_decode,
     stopping_set_decode_fast,
     subset_masks,
@@ -310,8 +313,9 @@ def test_peel_frames_matches_sic_decode_on_every_frame(n_users, n_slots):
 
 def _replay_saturated(policies, n_slots, n_frames, seed):
     """simulate_saturated's draws, redrawn in the same order, with every frame
-    decoded by simulate_frame. Chunking does not change the uniform stream, so
-    the slot orders are drawn in one call."""
+    placed by argsort and decoded by simulate_frame. Chunking does not change
+    the uniform stream, so the slot orders are drawn in one call. Returns the
+    counts and the generator after the draws."""
     rng = np.random.default_rng(seed)
     n_users = len(policies)
     degrees = np.empty((n_frames, n_users), dtype=np.int64)
@@ -323,7 +327,7 @@ def _replay_saturated(policies, n_slots, n_frames, seed):
     for i in range(n_frames):
         bursts = {u: order[i, u, : degrees[i, u]].tolist() for u in range(n_users)}
         counts[i] = len(simulate_frame(bursts).decoded)
-    return counts
+    return counts, rng
 
 
 #: Per-node degrees 1, 3, 3 and 8 in 4 slots: a d = 1 user, whose degree
@@ -342,9 +346,12 @@ _ONES_D2 = DegreeDistribution((1.0, 0.0))
     ids=["10-10-2500", "50-40-250", "mixed-4-13000", "ones-d2-6-5000"],
 )
 def test_simulate_saturated_replays_sic_decode_exactly(n_slots, policies, n_frames):
-    # every size spans more than one 2e5-element chunk
-    batched = simulate_saturated(policies, n_slots, n_frames, np.random.default_rng(21))
-    assert np.array_equal(batched, _replay_saturated(policies, n_slots, n_frames, 21))
+    assert n_frames * len(policies) * n_slots > _CHUNK_ELEMENTS
+    rng = np.random.default_rng(21)
+    batched = simulate_saturated(policies, n_slots, n_frames, rng)
+    counts, ref_rng = _replay_saturated(policies, n_slots, n_frames, 21)
+    assert np.array_equal(batched, counts)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -364,6 +371,66 @@ def test_simulate_saturated_all_aloha_stream(policy, m, n_slots, n_frames):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if n_slots == 1:
         assert np.all(got == (m == 1))
+
+
+def test_simulate_saturated_rejects_empty_frame():
+    with pytest.raises(ValueError, match="at least one slot"):
+        simulate_saturated([BASELINE_IRSA] * 2, 0, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "m,n_slots,n_frames",
+    [(7, 5, 60_001), (9, 5, 40_000), (1001, 1000, 400)],
+    ids=["7-5-60001", "9-5-40000", "1001-1000-400"],
+)
+def test_simulate_slotted_aloha_replays_one_draw(m, n_slots, n_frames):
+    # Odd user counts: a chunk of 32-bit draws (odd at 9 users) or the whole
+    # call (odd at 7 users) can end on half of a 64-bit generator output.
+    assert n_frames * m > 2 * _CHUNK_ELEMENTS
+    rng = np.random.default_rng(24)
+    got = simulate_slotted_aloha(m, n_slots, n_frames, rng)
+    ref_rng = np.random.default_rng(24)
+    slots = ref_rng.integers(0, n_slots, size=(n_frames, m))
+    ref = [np.count_nonzero(np.bincount(row, minlength=n_slots) == 1) for row in slots]
+    assert np.array_equal(got, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_place_rows_tie_across_threshold_keeps_lower_slots():
+    uniforms = np.array(
+        [
+            [[0.5, 0.25, 0.5, 0.5, 0.75], [0.5, 0.5, 0.5, 0.5, 0.5]],
+            [[0.75, 0.5, 0.25, 0.5, 0.9], [0.1, 0.2, 0.3, 0.4, 0.5]],
+        ]
+    )
+    degrees = np.array([[2, 3], [3, 4]])
+    expected = np.array(
+        [
+            [[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]],  # ties straddle the threshold
+            [[0, 1, 1, 1, 0], [1, 1, 1, 1, 0]],  # a tie below it; no tie
+        ],
+        dtype=bool,
+    )
+    before = uniforms.copy()
+    assert np.array_equal(_place_rows(uniforms, degrees), expected)
+    assert np.array_equal(uniforms, before)
+
+
+@st.composite
+def _tied_rows(draw):
+    """(uniforms, degrees): up to 3 frames of 4 users in up to 8 slots, the
+    uniforms drawn from four values so that most rows hold ties."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 8)))
+    uniforms = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from((0.0, 0.25, 0.5, 0.75))))
+    degrees = draw(hnp.arrays(np.int64, shape[:2], elements=st.integers(1, shape[2])))
+    return uniforms, degrees
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_tied_rows())
+def test_place_rows_matches_stable_argsort_scatter(rows):
+    uniforms, degrees = rows
+    assert np.array_equal(_place_rows(uniforms, degrees), stable_argsort_placement(uniforms, degrees))
 
 
 @pytest.mark.parametrize("m,n_slots", [(3, 4), (4, 4), (3, 5), (3, 2)])

@@ -394,10 +394,26 @@ _PINNED_STREAMS = [
         ),
         "5788acfa52faf21a841f75579bbc62e27a8a783fb5980ef5131546f330f4980d",
     ),
+    (
+        TrainConfig(load=0.8, arrivals=ArrivalModel("poisson", 0.4), episodes=6, seed=14),
+        "2048b7d74e70948e3d2ec35caeb456e87d327162c072867c05c6b20979aa7e94",
+    ),
+    (
+        TrainConfig(
+            load=0.5,
+            arrivals=ArrivalModel("deterministic", 1),
+            virtual_experience=True,
+            episodes=6,
+            seed=15,
+        ),
+        "15cdb09fb89c504839571071d98fc4ec8d18ce9a231b56fff7845fefa204e2d2",
+    ),
 ]
 
 
-@pytest.mark.parametrize("cfg,digest", _PINNED_STREAMS, ids=["plain", "virtual", "poly"])
+@pytest.mark.parametrize(
+    "cfg,digest", _PINNED_STREAMS, ids=["plain", "virtual", "poly", "poisson", "deterministic"]
+)
 def test_train_stream_is_pinned(cfg, digest):
     assert _train_digest(cfg) == digest
 
