@@ -13,9 +13,23 @@ the block belongs to node i: its epsilon test, its exploring pick or greedy
 tie-break, and N uniforms whose argsort ranks the slots for its replicas.
 Resets make their own draw. A run's stream therefore depends only on its
 seed, the frame index and its reset history.
+
+A ``FramePlan`` hands ``step_frame`` those draws. With Bernoulli arrivals
+(``random(m) < p``) a frame's draws are m * (N + 3) consecutive doubles, and
+with deterministic ones (no draw) m * (N + 2), so a stretch of frames is one
+``rng.random`` call. ``train`` draws the rest of each episode that way, up to
+``_STRETCH_DOUBLES`` at a time, after saving the generator state, and turns
+``_PLAN_CHUNK`` frames at a time into lists. A bad-episode reset after j
+frames of a stretch restores the saved state and redraws j frames of doubles
+to step past them, so ``reset_episode`` draws from the same state as a
+frame-by-frame run. ``bit_generator.advance`` would skip them without
+drawing, but it also drops the generator's spare 32-bit half, which the
+reset's ``integers`` draw uses. Poisson arrivals take a variable number of
+draws, so their plan draws each frame when it comes.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +60,7 @@ __all__ = [
     "NodeState",
     "TrainConfig",
     "FrameResult",
+    "FramePlan",
     "RunRecord",
     "step_frame",
     "detect_bad_episode",
@@ -70,6 +85,11 @@ _MAX_REPLICAS = 1024
 #: The largest mean numpy's ``Generator.poisson`` accepts; it rejects any
 #: larger one with "lam value too large".
 _POISSON_MAX_MEAN = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))
+#: Frames a ``FramePlan`` turns into lists at a time.
+_PLAN_CHUNK = 8
+#: A stretch draws at most this many doubles (and at least one frame), which
+#: bounds its memory and the draws a reset abandons.
+_STRETCH_DOUBLES = 2**13
 
 
 @dataclass(frozen=True)
@@ -167,11 +187,12 @@ class TrainConfig:
         return self.episodes * self.iters_per_episode
 
     def with_load(self, load: float, n_slots: int | None = None) -> "TrainConfig":
-        return replace(self, load=load, n_slots=n_slots or self.n_slots, n_nodes=None)
+        if n_slots is None:
+            n_slots = self.n_slots
+        return replace(self, load=load, n_slots=n_slots, n_nodes=None)
 
 
-@dataclass(frozen=True)
-class FrameResult:
+class FrameResult(NamedTuple):
     """Per-frame outcome across all nodes.
 
     ``mean_reward`` is the mean of the m nodes' rewards (minus the new buffer
@@ -242,19 +263,109 @@ class RunRecord:
             )
 
 
+class FramePlan:
+    """The draws of a run's frames, taken from ``rng`` a stretch at a time.
+
+    ``next_frame`` returns one frame's (explore, pick, ranks, arrivals): per
+    node its two ``select_action`` uniforms, its first d slot ranks and its
+    arrival count. ``start(frames)`` sets how many frames the plan may hand
+    out next; it never draws past them, so the generator sits right after
+    the last frame once they are all out. ``rewind()`` puts the generator
+    right after the frames handed out so far, so that a reset can draw.
+    """
+
+    def __init__(
+        self, config: TrainConfig, rng: np.random.Generator, m: int, frames: int = 1
+    ):
+        self.rng = rng
+        self.m = m
+        self.width = config.n_slots + 2
+        self.d = config.params.d
+        self.arrivals = config.arrivals
+        self.kind = config.arrivals.kind
+        # Doubles of one frame's block, and of its whole draw when that is a
+        # fixed count; Poisson frames are drawn one at a time.
+        self.block_doubles = m * self.width
+        self.frame_doubles = self.block_doubles + (m if self.kind == "bernoulli" else 0)
+        self.start(frames)
+
+    def start(self, frames: int) -> None:
+        """Drop any drawn frames and allow the next ``frames``."""
+        self.left = frames  # frames still to hand out
+        self.stretch = None  # the stretch's doubles, one row per frame
+        self.saved = None  # generator state before the stretch was drawn
+        self.converted = 0  # stretch rows turned into lists
+        self.used = 0  # stretch rows handed out
+        self.ready = []  # converted frames, last one first
+
+    def rewind(self) -> None:
+        """Put the generator right after the frames handed out."""
+        if self.stretch is not None and self.used < len(self.stretch):
+            # Redrawn, not skipped with advance(): advance() would drop the
+            # spare 32-bit half that the reset's integers draw uses.
+            self.rng.bit_generator.state = self.saved
+            self.rng.random(self.used * self.frame_doubles)
+        self.start(self.left)
+
+    def next_frame(self) -> tuple[list, list, list, list]:
+        ready = self.ready
+        if not ready:
+            ready = self.ready = self._convert()
+        self.used += 1
+        self.left -= 1
+        return ready.pop()
+
+    def _convert(self) -> list:
+        """The next frames as lists, last frame first."""
+        if self.left <= 0:
+            raise ValueError("the frame plan has no frames left: start() the next stretch")
+        m, width, rng = self.m, self.width, self.rng
+        if self.kind == "poisson":
+            block = rng.random((1, m, width))
+            return self._lists(block, [self.arrivals.sample(rng, m).tolist()])
+        stretch = self.stretch
+        if stretch is None or self.converted == len(stretch):
+            per = self.frame_doubles
+            rows = min(self.left, max(1, _STRETCH_DOUBLES // per))
+            self.saved = rng.bit_generator.state
+            stretch = self.stretch = rng.random(rows * per).reshape(rows, per)
+            self.converted = self.used = 0
+        chunk = stretch[self.converted : self.converted + _PLAN_CHUNK]
+        n = len(chunk)
+        self.converted += n
+        cut = self.block_doubles
+        if self.kind == "bernoulli":
+            arrivals = (chunk[:, cut:] < self.arrivals.param).tolist()
+        else:
+            arrivals = [[int(self.arrivals.param)] * m] * n
+        return self._lists(chunk[:, :cut].reshape(n, m, width), arrivals)
+
+    def _lists(self, block: np.ndarray, arrivals: list) -> list:
+        explore = block[:, :, 0].tolist()
+        pick = block[:, :, 1].tolist()
+        # Only the first d ranks can hold a replica.
+        ranks = block[:, :, 2:].argsort(axis=2)[:, :, : self.d].tolist()
+        frames = list(zip(explore, pick, ranks, arrivals))
+        frames.reverse()
+        return frames
+
+
 def step_frame(
     nodes: list[NodeState],
     config: TrainConfig,
-    rng: np.random.Generator,
+    plan: "FramePlan | np.random.Generator",
 ) -> FrameResult:
     """Advance every node by one frame; mutates node state in place.
 
-    The frame draws, in this order and whatever the nodes hold: one
-    (m, N + 2) uniform block, then ``config.arrivals.sample(rng, m)``. Row i
-    of the block belongs to node i: column 0 is its epsilon test, column 1
-    its exploring pick or greedy tie-break (both go to ``select_action``),
-    and the argsort of columns 2.. ranks the slots, so its a replicas sit in
-    its first min(a, N) ranks. Rows of silent nodes go unused.
+    The frame takes its draws from ``plan``; a bare generator is a one-frame
+    plan for m = len(nodes) nodes. They are, in this order and whatever the
+    nodes hold: one (m, N + 2) uniform block, then the m arrivals of
+    ``config.arrivals``. Row i of the block belongs to node i: column 0 is
+    its epsilon test, column 1 its exploring pick or greedy tie-break (both
+    go to ``select_action``), and the argsort of columns 2.. ranks the
+    slots, so its a replicas sit in its first min(a, N) ranks. Rows of
+    silent nodes go unused. A plan that ``train`` drew a stretch ahead
+    yields the same draws as frame-by-frame calls on the generator.
 
     Nodes with an empty buffer stay silent: they get reward 0 and no
     Q-update for the frame, but arrivals still land and their histories
@@ -265,17 +376,15 @@ def step_frame(
     cap = params.B
     m = len(nodes)
 
-    block = rng.random((m, n_slots + 2))
-    arrivals = config.arrivals.sample(rng, m).tolist()
-    uniforms = block[:, :2].tolist()
-    # Only the first d ranks can hold a replica.
-    ranks = block[:, 2:].argsort(axis=1)[:, : params.d].tolist()
+    if isinstance(plan, np.random.Generator):
+        plan = FramePlan(config, plan, m)
+    explore, pick, ranks, arrivals = plan.next_frame()
 
     actions = {}
     bursts = {}
     for i, node in enumerate(nodes):
         if node.buffer > 0:
-            a = select_action(node.q, node.history, params, *uniforms[i])
+            a = select_action(node.q, node.history, params, explore[i], pick[i])
             actions[i] = a
             # The slice caps the replicas at min(a, N) distinct slots.
             bursts[i] = ranks[i][:a]
@@ -309,10 +418,8 @@ def step_frame(
 
 def detect_bad_episode(recent_rewards) -> bool:
     """True when the last three reward deltas are all strictly negative."""
-    r = list(recent_rewards)
-    if len(r) < 4:
-        return False
-    return all(r[-k] < r[-k - 1] for k in (1, 2, 3))
+    r = recent_rewards if isinstance(recent_rewards, (list, tuple)) else list(recent_rewards)
+    return len(r) > 3 and bool(r[-1] < r[-2] < r[-3] < r[-4])
 
 
 def reset_episode(
@@ -346,17 +453,20 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
     """
     rng = np.random.default_rng(config.seed)
     nodes = new_nodes(config)
+    plan = FramePlan(config, rng, len(nodes), 0)
 
     record = RunRecord(config=config)
     for _ in range(config.episodes):
         reset_episode(nodes, config.params, rng)
+        plan.start(config.iters_per_episode)
         recent: list[float] = []
         for _ in range(config.iters_per_episode):
-            result = step_frame(nodes, config, rng)
+            result = step_frame(nodes, config, plan)
             mean_reward = result.mean_reward
             recent.append(mean_reward)
             resets = 0
             if detect_bad_episode(recent):
+                plan.rewind()
                 reset_episode(nodes, config.params, rng)
                 recent.clear()
                 resets = 1

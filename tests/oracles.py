@@ -1,9 +1,10 @@
-"""Independent reference implementations used to cross-check the decoder.
+"""Independent reference implementations used to cross-check the package.
 
-Deliberately brute-force: apart from ``exact_mean_decoded``, which decodes
-with the package's ``simulate_frame`` (itself checked against the
-stopping-set and all-orders oracles here), these share no code with the
-package internals.
+Deliberately brute-force: apart from ``exact_mean_decoded`` and
+``exact_step_law``, which decode with the package's ``simulate_frame``
+(itself checked against the stopping-set and all-orders oracles here), and
+``reference_train``, which replays ``step_frame`` one frame at a time, these
+share no code with the package internals.
 """
 
 from itertools import combinations, product
@@ -145,3 +146,82 @@ def sequential_batch_oracle(q, h_visited, a, h_next, params):
         q_update(q, member, a, float(-succ), member_next, params)
         updated.append(member)
     return updated
+
+
+def reference_train(config):
+    """``env.train`` one frame at a time: every frame calls ``step_frame``
+    with the bare generator, and a bad-episode reset follows its frame. The
+    bad-episode test is the three-delta definition, written out here."""
+    from irsa_rl.env import RunRecord, new_nodes, reset_episode, step_frame
+
+    rng = np.random.default_rng(config.seed)
+    nodes = new_nodes(config)
+    record = RunRecord(config=config)
+    for _ in range(config.episodes):
+        reset_episode(nodes, config.params, rng)
+        recent = []
+        for _ in range(config.iters_per_episode):
+            result = step_frame(nodes, config, rng)
+            recent.append(result.mean_reward)
+            bad = len(recent) >= 4 and all(recent[-k] < recent[-k - 1] for k in (1, 2, 3))
+            if bad:
+                reset_episode(nodes, config.params, rng)
+                recent = []
+            record.mean_reward.append(result.mean_reward)
+            record.throughput.append(result.throughput)
+            record.resets.append(int(bad))
+            record.dropped += result.dropped
+    return nodes, record
+
+
+def exact_step_law(nodes, config) -> dict:
+    """Exact law of one ``step_frame`` from ``nodes`` with Bernoulli arrivals.
+
+    Returns {(next buffers, decoded, dropped, mean reward): probability}. A
+    node with a nonempty buffer plays action a with probability epsilon / d,
+    plus (1 - epsilon) / |ties| when a is one of the greedy ties of its
+    history (an unvisited action reads 0.0). It puts its replicas on a
+    uniform min(a, N)-subset of the slots; the frame is decoded by
+    ``simulate_frame``. Every node then gains a packet with the arrival
+    probability, and b' = min(b - decoded + arrival, B) with the excess
+    dropped. The mean reward is minus the summed b' of the transmitting
+    nodes over m.
+    """
+    from irsa_rl.core import simulate_frame
+
+    params, n_slots = config.params, config.n_slots
+    d, cap, eps = params.d, params.B, params.epsilon
+    assert config.arrivals.kind == "bernoulli"
+    p = config.arrivals.param
+    m = len(nodes)
+
+    def placements(node):
+        """[(slots, probability)] of one transmitting node."""
+        visited = {(h, a): q for h, a, q, _ in node.q.items()}
+        values = [visited.get((node.history, a), 0.0) for a in range(1, d + 1)]
+        ties = [a for a, v in enumerate(values, start=1) if v == max(values)]
+        out = []
+        for a in range(1, d + 1):
+            p_action = eps / d + ((1 - eps) / len(ties) if a in ties else 0.0)
+            subsets = list(combinations(range(n_slots), min(a, n_slots)))
+            out.extend((frozenset(s), p_action / len(subsets)) for s in subsets)
+        return out
+
+    senders = [i for i, node in enumerate(nodes) if node.buffer > 0]
+    law: dict = {}
+    for frame in product(*(placements(nodes[i]) for i in senders)):
+        p_frame = 1.0
+        for _, p_slots in frame:
+            p_frame *= p_slots
+        decoded = simulate_frame({i: slots for i, (slots, _) in zip(senders, frame)}).decoded
+        for arrivals in product((0, 1), repeat=m):
+            p_arrivals = 1.0
+            for x in arrivals:
+                p_arrivals *= p if x else 1 - p
+            raw = [n.buffer - (i in decoded) + x for i, (n, x) in enumerate(zip(nodes, arrivals))]
+            after = tuple(min(b, cap) for b in raw)
+            dropped = sum(raw) - sum(after)
+            mean_reward = -sum(after[i] for i in senders) / m
+            key = (after, len(decoded), dropped, mean_reward)
+            law[key] = law.get(key, 0.0) + p_frame * p_arrivals
+    return law

@@ -18,7 +18,7 @@ import pytest
 
 from irsa_rl import core, env, harness
 from irsa_rl.core import PURE_ALOHA, simulate_frame
-from irsa_rl.env import TrainConfig, new_nodes, step_frame, train
+from irsa_rl.env import ArrivalModel, TrainConfig, new_nodes, step_frame, train
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -131,3 +131,24 @@ def test_training_frames_call_the_wrapped_env_names(monkeypatch):
         train(replace(base, virtual_experience=virtual))
         for name in ("select_action", "simulate_frame", update):
             assert calls[name] > 0, (virtual, name)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(load=1.0, episodes=3, iters_per_episode=60, seed=5),
+        TrainConfig(load=0.6, arrivals=ArrivalModel("poisson", 0.8), episodes=2, seed=6),
+        TrainConfig(load=0.5, episodes=2, iters_per_episode=0, seed=7),
+    ],
+    ids=["bernoulli", "poisson", "no-frames"],
+)
+def test_train_steps_and_resets_through_the_wrapped_env_names(monkeypatch, cfg):
+    # The env.step_frame and env.reset_episode spans are per frame and per
+    # reset: train calls each through its module global, once per frame and
+    # once per episode start or bad-episode reset.
+    calls = _count_calls(monkeypatch, env, ("step_frame", "reset_episode"))
+    _, record = train(cfg)
+    assert calls["step_frame"] == cfg.total_iterations
+    assert calls["reset_episode"] == cfg.episodes + sum(record.resets)
+    if cfg.iters_per_episode:
+        assert sum(record.resets) > 0

@@ -1,7 +1,9 @@
+from collections import Counter
 import hashlib
 import math
 from dataclasses import replace
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -12,6 +14,7 @@ from irsa_rl.core import BASELINE_IRSA, PURE_ALOHA, simulate_frame, simulate_sat
 from irsa_rl.env import (
     ArrivalModel,
     ConfigurationError,
+    FramePlan,
     NodeState,
     TrainConfig,
     deployed_policies,
@@ -23,11 +26,17 @@ from irsa_rl.env import (
     train,
 )
 from irsa_rl.harness import convergence_config
+from oracles import exact_step_law, reference_train
 
 
-def make_nodes(buffers, params):
+def make_nodes(buffers, params, lines=()):
+    """Nodes at ``buffers``, each with its own table loaded from ``lines``."""
     return [
-        NodeState(buffer=b, history=initial_history(b, params.w), q=QTable(params.d))
+        NodeState(
+            buffer=b,
+            history=initial_history(b, params.w),
+            q=QTable.from_lines(lines, params.d),
+        )
         for b in buffers
     ]
 
@@ -113,6 +122,13 @@ def test_config_rejects_degenerate_dimensions():
 def test_config_total_iterations():
     cfg = TrainConfig(load=0.5, episodes=50, iters_per_episode=30)
     assert cfg.total_iterations == 1500
+
+
+@pytest.mark.parametrize("n_slots", [0, -3])
+def test_with_load_rejects_a_frame_without_slots(n_slots):
+    # n_slots = 0 used to be read as "keep the old frame size".
+    with pytest.raises(ConfigurationError, match="n_slots"):
+        TrainConfig(n_slots=12, load=0.5).with_load(0.75, n_slots=n_slots)
 
 
 # --- step_frame ---------------------------------------------------------------
@@ -233,6 +249,47 @@ def test_step_frame_draw_count_is_fixed(arrivals):
     assert all(seen == states[0] for seen in states)
 
 
+@pytest.mark.parametrize(
+    "arrivals",
+    [
+        ArrivalModel("bernoulli", 0.5),
+        ArrivalModel("poisson", 1.5),
+        ArrivalModel("deterministic", 2),
+    ],
+    ids=["bernoulli", "poisson", "deterministic"],
+)
+@pytest.mark.parametrize("stretch_rows", [None, 3])
+@pytest.mark.parametrize("used", [0, 1, 7, 8, 9, 20])
+def test_frame_plan_matches_per_frame_draws_and_rewinds(monkeypatch, arrivals, stretch_rows, used):
+    cfg = TrainConfig(n_slots=6, n_nodes=5, params=LearningParams(d=4), arrivals=arrivals)
+    plan_rng, frame_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for rng in (plan_rng, frame_rng):
+        rng.integers(0, 6, size=3)  # leaves a spare 32-bit half in the generator
+    if stretch_rows:
+        monkeypatch.setattr(env, "_STRETCH_DOUBLES", stretch_rows * 5 * 9)
+    plan = FramePlan(cfg, plan_rng, cfg.m, frames=20)
+    for _ in range(used):
+        explore, pick, ranks, arrived = plan.next_frame()
+        block = frame_rng.random((cfg.m, cfg.n_slots + 2))
+        assert explore == block[:, 0].tolist() and pick == block[:, 1].tolist()
+        assert ranks == block[:, 2:].argsort(axis=1)[:, :4].tolist()
+        assert arrived == cfg.arrivals.sample(frame_rng, cfg.m).tolist()
+    plan.rewind()
+    assert plan_rng.bit_generator.state == frame_rng.bit_generator.state
+    assert plan_rng.integers(0, 6, size=5).tolist() == frame_rng.integers(0, 6, size=5).tolist()
+
+
+def test_frame_plan_hands_out_only_the_frames_it_was_given():
+    cfg = TrainConfig(load=0.5)
+    plan = FramePlan(cfg, np.random.default_rng(0), cfg.m, frames=2)
+    plan.next_frame()
+    plan.next_frame()
+    with pytest.raises(ValueError, match="no frames left"):
+        plan.next_frame()
+    plan.start(1)
+    plan.next_frame()
+
+
 def test_step_frame_places_replicas_uniformly_over_subsets(monkeypatch):
     # Every explored action a places its replicas on the first a argsort
     # ranks of the node's row; for each a, those slots must be a uniform
@@ -281,6 +338,34 @@ def test_step_frame_places_replicas_uniformly_over_subsets(monkeypatch):
 )
 def test_detect_bad_episode(rewards, expected):
     assert detect_bad_episode(rewards) is expected
+
+
+def _three_deltas(rewards) -> bool:
+    """The bad-episode test as first written: three strictly negative deltas."""
+    r = list(rewards)
+    if len(r) < 4:
+        return False
+    return all(r[-k] < r[-k - 1] for k in (1, 2, 3))
+
+
+_REWARDS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, -2.0, -3.0, math.nan, -math.inf]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-5, 5),
+    ),
+    max_size=8,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(rewards=_REWARDS, container=st.sampled_from(["list", "tuple", "iterator"]))
+@example(rewards=[0.0, -1.0, -0.0, -2.0], container="list")
+@example(rewards=[-1.0, -2.0, math.nan, -4.0], container="iterator")
+@example(rewards=[-1.0, -2.0, -3.0, -3.0], container="tuple")
+def test_detect_bad_episode_matches_three_deltas(rewards, container):
+    make = {"list": list, "tuple": tuple, "iterator": iter}[container]
+    assert detect_bad_episode(make(rewards)) is _three_deltas(make(rewards))
 
 
 # --- reset --------------------------------------------------------------------
@@ -360,16 +445,18 @@ def test_train_trace_shape_and_episode_means():
     assert rows[0][0] == 7 and len(rows[0]) == 6
 
 
-def _train_digest(cfg):
-    nodes, rec = train(cfg)
-    state = (
-        rec.mean_reward,
-        rec.throughput,
-        rec.resets,
-        rec.dropped,
+def _run_state(nodes, record):
+    return (
+        record.mean_reward,
+        record.throughput,
+        record.resets,
+        record.dropped,
         [node.q.to_lines() for node in nodes],
     )
-    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+def _train_digest(cfg):
+    return hashlib.sha256(repr(_run_state(*train(cfg))).encode()).hexdigest()
 
 
 # Digests of the training stream: trace, drop total and every node's table.
@@ -416,6 +503,108 @@ _PINNED_STREAMS = [
 )
 def test_train_stream_is_pinned(cfg, digest):
     assert _train_digest(cfg) == digest
+
+
+# train draws frames a stretch ahead and rewinds at each reset; the reference
+# steps frame by frame on the bare generator. Together the configs cover the
+# three arrival kinds, episodes of 0, 1 and 30 frames, epsilon 0 and 1,
+# B = 1, several resets per episode, and stretches cut at the draw limit.
+_REFERENCE_CONFIGS = {
+    "resets": TrainConfig(load=1.0, episodes=2, iters_per_episode=200, seed=21),
+    "short-stretches": TrainConfig(n_slots=60, load=1.0, episodes=2, iters_per_episode=60, seed=22),
+    "no-frames": TrainConfig(load=0.5, episodes=3, iters_per_episode=0, seed=23),
+    "one-frame": TrainConfig(load=0.9, episodes=12, iters_per_episode=1, seed=24),
+    "greedy": TrainConfig(load=0.9, params=LearningParams(epsilon=0.0), episodes=5, seed=25),
+    "exploring-B1": TrainConfig(
+        load=0.8, params=LearningParams(epsilon=1.0, B=1), episodes=5, seed=26
+    ),
+    "virtual": replace(convergence_config(0.7, virtual=True, seed=27), episodes=4),
+    "poisson": TrainConfig(
+        load=0.8, arrivals=ArrivalModel("poisson", 0.6), episodes=3, iters_per_episode=60, seed=28
+    ),
+    "deterministic": TrainConfig(
+        load=1.0,
+        params=LearningParams(B=8),
+        arrivals=ArrivalModel("deterministic", 1),
+        episodes=3,
+        iters_per_episode=60,
+        seed=29,
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg", _REFERENCE_CONFIGS.values(), ids=_REFERENCE_CONFIGS)
+def test_train_equals_frame_by_frame_reference(cfg):
+    nodes, record = train(cfg)
+    assert _run_state(nodes, record) == _run_state(*reference_train(cfg))
+
+
+def test_reference_configs_reset_in_mid_stretch():
+    per = {}
+    for name in ("resets", "short-stretches", "poisson", "deterministic"):
+        cfg = _REFERENCE_CONFIGS[name]
+        resets = train(cfg)[1].resets
+        per[name] = max(
+            sum(resets[k : k + cfg.iters_per_episode])
+            for k in range(0, len(resets), cfg.iters_per_episode)
+        )
+    assert per["resets"] >= 5 and per["deterministic"] >= 5
+    assert per["short-stretches"] >= 1 and per["poisson"] >= 1
+    # A stretch holds a whole 30-frame episode at m = N = 10, but only a
+    # few frames of a 60-frame episode at m = N = 60.
+    assert env._STRETCH_DOUBLES // (10 * 13) > 30
+    assert env._STRETCH_DOUBLES // (60 * 63) < 60
+
+
+def test_step_frame_meets_the_exact_one_frame_law():
+    # m = N = d = 3, B = 2, buffers 0, 1 and B. Node 1's history holds a
+    # two-way greedy tie (actions 2 and 3); node 2's history is unvisited.
+    params = LearningParams(epsilon=0.3, B=2, d=3)
+    cfg = TrainConfig(
+        n_slots=3, n_nodes=3, params=params, arrivals=ArrivalModel("bernoulli", 0.4)
+    )
+    table = QTable(params.d)
+    ones = initial_history(1, params.w)
+    for a, value in ((1, -0.5), (2, -0.2), (3, -0.2)):
+        table.record(ones, a, value)
+    lines = table.to_lines()
+    buffers = (0, 1, params.B)
+
+    law = exact_step_law(make_nodes(buffers, params, lines), cfg)
+    assert math.isclose(sum(law.values()), 1.0)
+
+    calls = 20_000
+    plan = FramePlan(cfg, np.random.default_rng(4242), cfg.m, frames=calls)
+    seen = Counter()
+    totals = np.zeros((calls, 3))
+    for k in range(calls):
+        nodes = make_nodes(buffers, params, lines)
+        result = step_frame(nodes, cfg, plan)
+        seen[tuple(node.buffer for node in nodes)] += 1
+        totals[k] = result.decoded, result.dropped, result.mean_reward
+
+    # Joint next buffers: chi-square with cells of expected count < 5 merged.
+    expected = Counter()
+    for (after, *_), p in law.items():
+        expected[after] += calls * p
+    assert set(seen) <= set(expected)
+    pool = [cell for cell in expected if expected[cell] < 5]
+    rest = sorted((cell for cell in expected if expected[cell] >= 5), key=expected.get)
+    while pool and sum(expected[cell] for cell in pool) < 5:
+        pool.append(rest.pop(0))
+    groups = [[cell] for cell in rest] + ([pool] if pool else [])
+    observed = [sum(seen[cell] for cell in group) for group in groups]
+    predicted = [sum(expected[cell] for cell in group) for group in groups]
+    assert len(observed) >= 8
+    assert sps.chisquare(observed, predicted).pvalue > 1e-3
+
+    # Means of decoded, dropped and mean_reward within 4 standard errors.
+    outcomes = np.array([key[1:] for key in law], dtype=float)
+    probs = np.array(list(law.values()))
+    mean = probs @ outcomes
+    sd = np.sqrt(probs @ (outcomes - mean) ** 2)
+    assert np.all(sd > 0)
+    assert np.all(np.abs(totals.mean(axis=0) - mean) <= 4 * sd / math.sqrt(calls))
 
 
 def test_train_fast_convergence_at_light_load():
