@@ -16,16 +16,16 @@ seed, the frame index and its reset history.
 
 A ``FramePlan`` hands ``step_frame`` those draws. With Bernoulli arrivals
 (``random(m) < p``) a frame's draws are m * (N + 3) consecutive doubles, and
-with deterministic ones (no draw) m * (N + 2), so a stretch of frames is one
-``rng.random`` call. ``train`` draws the rest of each episode that way, up to
-``_STRETCH_DOUBLES`` at a time, after saving the generator state, and turns
-``_PLAN_CHUNK`` frames at a time into lists. A bad-episode reset after j
-frames of a stretch restores the saved state and redraws j frames of doubles
+with deterministic ones (no draw) m * (N + 2), so a chunk of ``_PLAN_CHUNK``
+frames (fewer when it would pass ``_STRETCH_DOUBLES`` doubles, and never past
+the episode's end) is one ``rng.random`` call, drawn after saving the
+generator state and turned into lists at once. A bad-episode reset after j
+frames of a chunk restores the saved state and redraws j frames of doubles
 to step past them, so ``reset_episode`` draws from the same state as a
 frame-by-frame run. ``bit_generator.advance`` would skip them without
 drawing, but it also drops the generator's spare 32-bit half, which the
 reset's ``integers`` draw uses. Poisson arrivals take a variable number of
-draws, so their plan draws each frame when it comes.
+draws, so their chunks are one frame: its block, then its arrivals.
 """
 
 from dataclasses import dataclass, field, replace
@@ -85,10 +85,10 @@ _MAX_REPLICAS = 1024
 #: The largest mean numpy's ``Generator.poisson`` accepts; it rejects any
 #: larger one with "lam value too large".
 _POISSON_MAX_MEAN = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))
-#: Frames a ``FramePlan`` turns into lists at a time.
+#: Frames a ``FramePlan`` draws at a time.
 _PLAN_CHUNK = 8
-#: A stretch draws at most this many doubles (and at least one frame), which
-#: bounds its memory and the draws a reset abandons.
+#: A chunk draws at most this many doubles (and at least one frame), which
+#: bounds its memory.
 _STRETCH_DOUBLES = 2**13
 
 
@@ -159,7 +159,13 @@ class TrainConfig:
             raise ConfigurationError("load must be positive")
         if self.episodes < 0 or self.iters_per_episode < 0:
             raise ConfigurationError("episode dimensions cannot be negative")
-        if self.m < 1:
+        try:
+            m = self.m
+        except OverflowError:
+            raise ConfigurationError(
+                f"load * n_slots = {self.load!r} * {self.n_slots} has no finite node count"
+            ) from None
+        if m < 1:
             raise ConfigurationError("configuration yields zero nodes")
         if self.params.B >= _BUFFER_LIMIT:
             raise ConfigurationError(
@@ -264,7 +270,7 @@ class RunRecord:
 
 
 class FramePlan:
-    """The draws of a run's frames, taken from ``rng`` a stretch at a time.
+    """The draws of a run's frames, taken from ``rng`` a chunk at a time.
 
     ``next_frame`` returns one frame's (explore, pick, ranks, arrivals): per
     node its two ``select_action`` uniforms, its first d slot ranks and its
@@ -282,70 +288,61 @@ class FramePlan:
         self.width = config.n_slots + 2
         self.d = config.params.d
         self.arrivals = config.arrivals
-        self.kind = config.arrivals.kind
-        # Doubles of one frame's block, and of its whole draw when that is a
-        # fixed count; Poisson frames are drawn one at a time.
+        # Doubles of one frame's block, and of its whole ``rng.random`` draw:
+        # Bernoulli arrivals add m doubles, Poisson ones draw after it.
         self.block_doubles = m * self.width
-        self.frame_doubles = self.block_doubles + (m if self.kind == "bernoulli" else 0)
+        self.frame_doubles = self.block_doubles + (m if config.arrivals.kind == "bernoulli" else 0)
         self.start(frames)
 
     def start(self, frames: int) -> None:
         """Drop any drawn frames and allow the next ``frames``."""
         self.left = frames  # frames still to hand out
-        self.stretch = None  # the stretch's doubles, one row per frame
-        self.saved = None  # generator state before the stretch was drawn
-        self.converted = 0  # stretch rows turned into lists
-        self.used = 0  # stretch rows handed out
-        self.ready = []  # converted frames, last one first
+        self.ready = []  # drawn frames not yet handed out, last one first
+        self.saved = None  # generator state before the chunk was drawn
+        self.drawn = 0  # frames in the chunk
 
     def rewind(self) -> None:
         """Put the generator right after the frames handed out."""
-        if self.stretch is not None and self.used < len(self.stretch):
+        if self.ready:
             # Redrawn, not skipped with advance(): advance() would drop the
             # spare 32-bit half that the reset's integers draw uses.
             self.rng.bit_generator.state = self.saved
-            self.rng.random(self.used * self.frame_doubles)
+            self.rng.random((self.drawn - len(self.ready)) * self.frame_doubles)
         self.start(self.left)
 
     def next_frame(self) -> tuple[list, list, list, list]:
         ready = self.ready
         if not ready:
-            ready = self.ready = self._convert()
-        self.used += 1
+            ready = self.ready = self._draw()
         self.left -= 1
         return ready.pop()
 
-    def _convert(self) -> list:
-        """The next frames as lists, last frame first."""
+    def _draw(self) -> list:
+        """Draw the next chunk of frames as lists, last frame first."""
         if self.left <= 0:
-            raise ValueError("the frame plan has no frames left: start() the next stretch")
-        m, width, rng = self.m, self.width, self.rng
-        if self.kind == "poisson":
-            block = rng.random((1, m, width))
-            return self._lists(block, [self.arrivals.sample(rng, m).tolist()])
-        stretch = self.stretch
-        if stretch is None or self.converted == len(stretch):
-            per = self.frame_doubles
-            rows = min(self.left, max(1, _STRETCH_DOUBLES // per))
-            self.saved = rng.bit_generator.state
-            stretch = self.stretch = rng.random(rows * per).reshape(rows, per)
-            self.converted = self.used = 0
-        chunk = stretch[self.converted : self.converted + _PLAN_CHUNK]
-        n = len(chunk)
-        self.converted += n
-        cut = self.block_doubles
-        if self.kind == "bernoulli":
-            arrivals = (chunk[:, cut:] < self.arrivals.param).tolist()
+            raise ValueError("the frame plan has no frames left: start() the next episode")
+        m, per, rng, arrivals = self.m, self.frame_doubles, self.rng, self.arrivals
+        if arrivals.kind == "poisson":
+            # A variable number of draws follows each block, so one frame.
+            n = 1
         else:
-            arrivals = [[int(self.arrivals.param)] * m] * n
-        return self._lists(chunk[:, :cut].reshape(n, m, width), arrivals)
-
-    def _lists(self, block: np.ndarray, arrivals: list) -> list:
+            n = min(self.left, _PLAN_CHUNK, max(1, _STRETCH_DOUBLES // per))
+            self.saved = rng.bit_generator.state
+        self.drawn = n
+        chunk = rng.random(n * per).reshape(n, per)
+        cut = self.block_doubles
+        if arrivals.kind == "bernoulli":
+            arrived = (chunk[:, cut:] < arrivals.param).tolist()
+        elif arrivals.kind == "poisson":
+            arrived = [arrivals.sample(rng, m).tolist()]
+        else:
+            arrived = [[int(arrivals.param)] * m] * n
+        block = chunk[:, :cut].reshape(n, m, self.width)
         explore = block[:, :, 0].tolist()
         pick = block[:, :, 1].tolist()
         # Only the first d ranks can hold a replica.
         ranks = block[:, :, 2:].argsort(axis=2)[:, :, : self.d].tolist()
-        frames = list(zip(explore, pick, ranks, arrivals))
+        frames = list(zip(explore, pick, ranks, arrived))
         frames.reverse()
         return frames
 
@@ -364,7 +361,7 @@ def step_frame(
     its epsilon test, column 1 its exploring pick or greedy tie-break (both
     go to ``select_action``), and the argsort of columns 2.. ranks the
     slots, so its a replicas sit in its first min(a, N) ranks. Rows of
-    silent nodes go unused. A plan that ``train`` drew a stretch ahead
+    silent nodes go unused. A plan that ``train`` drew a chunk ahead
     yields the same draws as frame-by-frame calls on the generator.
 
     Nodes with an empty buffer stay silent: they get reward 0 and no

@@ -394,7 +394,7 @@ def _tables(draw):
     return table
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(table=_tables())
 @example(table=QTable(3))
 def test_qtable_checkpoint_round_trip(tmp_path_factory, table):

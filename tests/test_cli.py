@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irsa_rl import cli, config as configmod, env
 from irsa_rl.agent import LearningParams
@@ -384,6 +385,51 @@ def test_cli_rejects_unread_flags(tmp_path, capsys, command, flag):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", sorted(_ACCEPTED))
+def test_cli_subcommand_help_prints_usage(capsys, command):
+    # Every subparser used to hold a mutually exclusive group, empty unless
+    # the command has exclusive flags, and argparse's usage formatter raises
+    # ValueError("empty group") on an empty one.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: irsa-rl {command} ")
+
+
+def _asks_for_help(token: str) -> bool:
+    """-h, --help, or an abbreviation argparse resolves to --help."""
+    head = token.split("=", 1)[0]
+    return head.startswith("-h") or (len(head) > 2 and "--help".startswith(head))
+
+
+# Huge integers: past int64, and one past Python's 4300-digit int() limit.
+_VALUES = st.sampled_from(
+    ["0", "-1", "nan", "1e3", "", "2.5", "vanilla_irsa", "x", "9" * 5000]
+) | st.integers(min_value=2**63, max_value=10**400).map(str)
+_FLAG_NAMES = st.sampled_from(sorted(cli._FLAGS)) | st.sampled_from(
+    ["bogus", "seeds", "s", "t", "r", "w", "v", "q", "c", "o", "", "-"]
+)
+_TOKENS = (
+    _VALUES
+    | _FLAG_NAMES.map(lambda name: f"--{name}")
+    | st.tuples(_FLAG_NAMES, _VALUES).map(lambda pair: f"--{pair[0]}={pair[1]}")
+    | st.sampled_from(["-", "--", "-x", "-1e3", "---seed"])
+).filter(lambda token: not _asks_for_help(token))
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)), tokens=st.lists(_TOKENS, max_size=6))
+def test_cli_flag_fuzz_parses_or_is_config_error(command, tokens):
+    # argparse's own exits (usage text, then SystemExit) would break the
+    # JSON error contract; every argv must parse or raise ConfigurationError.
+    try:
+        args = cli._parse_args([command, *tokens])
+    except ConfigurationError:
+        return
+    assert args.command == command
+    assert set(cli._COMMANDS[command].flags) <= set(vars(args))
+
+
 @pytest.mark.parametrize(
     "command,flag,value",
     [
@@ -486,6 +532,27 @@ def test_cli_buffer_beyond_2_53_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["train", "--config", cfg, "--out", out]) == 2
     assert "2**53" in _config_error(capsys)["error"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["load = 1e308\n", "n_slots = 1000\nload = 1e306\n", f"n_slots = {'1' * 401}\n"],
+    ids=["load", "product", "n_slots"],
+)
+def test_cli_eval_huge_load_times_slots_is_config_error(tmp_path, capsys, text):
+    # round(load * n_slots) used to raise OverflowError out of main: the
+    # product is infinite, or the int n_slots does not fit in a float.
+    cfg = write_config(tmp_path, text)
+    assert main(["eval", "--config", cfg, "--trials", "1"]) == 2
+    assert "load * n_slots" in _config_error(capsys)["error"]
+
+
+def test_cli_sweep_huge_load_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "loads = 1e308\nepisodes = 1\nvariants = vanilla_irsa\n")
+    out = str(tmp_path / "x")
+    assert main(["sweep", "--config", cfg, "--out", out, "--reps", "1", "--trials", "1"]) == 2
+    assert "load * n_slots" in _config_error(capsys)["error"]
     assert not os.path.exists(out)
 
 

@@ -225,7 +225,7 @@ def _labelled_frames(draw):
     return n_slots, {user: draw(kinds)(draw(slots)) for user in users}
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_labelled_frames())
 def test_simulate_frame_matches_oracle_and_batch_kernel(frame):
     n_slots, bursts = frame
@@ -426,7 +426,7 @@ def _tied_rows(draw):
     return uniforms, degrees
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_tied_rows())
 def test_place_rows_matches_stable_argsort_scatter(rows):
     uniforms, degrees = rows
@@ -445,7 +445,7 @@ def test_simulate_saturated_mean_matches_exact_expectation(m, n_slots):
     assert abs(z) < 4, (counts.mean(), exact, z)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     hnp.arrays(
         bool,

@@ -358,7 +358,7 @@ _REWARDS = st.lists(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(rewards=_REWARDS, container=st.sampled_from(["list", "tuple", "iterator"]))
 @example(rewards=[0.0, -1.0, -0.0, -2.0], container="list")
 @example(rewards=[-1.0, -2.0, math.nan, -4.0], container="iterator")
@@ -505,10 +505,10 @@ def test_train_stream_is_pinned(cfg, digest):
     assert _train_digest(cfg) == digest
 
 
-# train draws frames a stretch ahead and rewinds at each reset; the reference
+# train draws frames a chunk ahead and rewinds at each reset; the reference
 # steps frame by frame on the bare generator. Together the configs cover the
 # three arrival kinds, episodes of 0, 1 and 30 frames, epsilon 0 and 1,
-# B = 1, several resets per episode, and stretches cut at the draw limit.
+# B = 1, several resets per episode, and chunks cut at the draw limit.
 _REFERENCE_CONFIGS = {
     "resets": TrainConfig(load=1.0, episodes=2, iters_per_episode=200, seed=21),
     "short-stretches": TrainConfig(n_slots=60, load=1.0, episodes=2, iters_per_episode=60, seed=22),
@@ -550,8 +550,8 @@ def test_reference_configs_reset_in_mid_stretch():
         )
     assert per["resets"] >= 5 and per["deterministic"] >= 5
     assert per["short-stretches"] >= 1 and per["poisson"] >= 1
-    # A stretch holds a whole 30-frame episode at m = N = 10, but only a
-    # few frames of a 60-frame episode at m = N = 60.
+    # The draw cap holds more than a 30-frame episode at m = N = 10, so its
+    # chunks are whole 8-frame ones, but only a few frames at m = N = 60.
     assert env._STRETCH_DOUBLES // (10 * 13) > 30
     assert env._STRETCH_DOUBLES // (60 * 63) < 60
 

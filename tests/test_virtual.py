@@ -234,7 +234,7 @@ def test_move_cache_hit_does_not_transform(monkeypatch):
     assert calls == []
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_batch_update_matches_sequential_oracle_property(data):
     # Two transitions on a table pre-filled with q values and visit counts,
