@@ -155,9 +155,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_convergence(args) -> int:
     values, cfg = _load_config(args)
-    # the full default load grid would mean hours of training runs here, so
-    # without an explicit list the report covers the loads the learning
-    # dynamics actually distinguish
+    # Without an explicit list the report covers the loads the learning
+    # dynamics distinguish. One repetition of every (load, variant) trains
+    # in ~1.3 s on these four and ~4 s on the ten-load default grid (2-core
+    # x86 host), so 40 repetitions take ~50 s here and would take ~160 s.
     if "loads" in values:
         loads = configmod.build_sweep_spec(values).loads
     else:
@@ -187,19 +188,12 @@ def cmd_virtual_compare(args) -> int:
         trials=args.trials,
         master_seed=cfg.seed,
     )
-    best = {
-        r["variant"]: r["actual_iters"] for r in rows if r["is_best"]
-    }
-    checks = [
-        (
-            "virtual_best_length_not_later",
-            best.get("dec_rl_virtual", 0) <= best.get("dec_rl", 0),
-        )
-    ]
+    best = {r["variant"]: r["actual_iters"] for r in rows if r["is_best"]}
+    checks = [("virtual_best_length_not_later", best["dec_rl_virtual"] <= best["dec_rl"])]
     emit_report({"virtual_compare": rows}, args.out, checks)
     print(
-        f"virtual-compare: best length vanilla {best.get('dec_rl')} vs "
-        f"virtual {best.get('dec_rl_virtual')}"
+        f"virtual-compare: best length vanilla {best['dec_rl']} vs "
+        f"virtual {best['dec_rl_virtual']}"
     )
     return 0
 

@@ -4,10 +4,10 @@ Every experiment is deterministic under a master seed: each (experiment,
 variant, load, frame size, repetition) cell derives its own seed from the
 cell coordinates (``_cell_rng``), so results are byte-identical regardless of
 execution order or worker count, and distinct cells never share a stream.
-The sweep, the training-length ablation and the waterfall study build one
-config per group of repetitions, then run every cell through one
-train -> deploy -> evaluate function (``_cell``) and one repetition runner
-(``_summaries``). ``fixed_policies`` gives the sweep, the waterfall study and
+Every experiment maps its repetitions through one runner (``_map``): sweeps,
+the training-length ablation and the waterfall study map one train -> deploy
+-> evaluate cell (``_cell``), learning curves one train-only cell
+(``_curve``). ``fixed_policies`` gives the sweep, the waterfall study and
 ``irsa-rl eval`` the policies of every variant that does not train.
 """
 
@@ -185,27 +185,40 @@ def _cell(master_seed, tags, coords, config, trials, policies) -> float:
     return float(counts.mean() / config.n_slots)
 
 
+def _curve(config: TrainConfig) -> np.ndarray:
+    """Per-episode mean rewards of one training run: a learning-curve cell."""
+    return train(config)[1].episode_means()
+
+
+def _map(fn, cells, workers: int = 1) -> list:
+    """``fn(*cell)`` per cell, in input order; in a process pool when ``workers > 1``."""
+    if workers > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*cells), chunksize=4))
+    return [fn(*cell) for cell in cells]
+
+
+def _check_counts(**counts) -> None:
+    """Reject a count below one before any cell trains."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {count}")
+
+
 def _summaries(
     master_seed: int, tags, groups, trials: int, repetitions: int,
     level: float = 0.975, workers: int = 1,
 ) -> list[Summary]:
-    """One Student-t interval of ``_cell`` throughput per group.
-
-    A group is (coordinates, config, policies); its cells are repetitions
-    0..repetitions-1 keyed (tag, *coordinates, rep). Cells run in input
-    order, in a process pool when ``workers > 1``; the results do not depend
-    on the worker count.
-    """
+    """One Student-t interval of ``_cell`` throughput per group: a group is
+    (coordinates, config, policies), its cells repetitions 0..repetitions-1
+    keyed (tag, *coordinates, rep)."""
+    _check_counts(repetitions=repetitions, trials=trials)
     cells = [
         (master_seed, tags, (*coords, rep), config, trials, policies)
         for coords, config, policies in groups
         for rep in range(repetitions)
     ]
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_cell, *zip(*cells), chunksize=4))
-    else:
-        values = [_cell(*cell) for cell in cells]
+    values = _map(_cell, cells, workers)
     return [
         t_interval(values[i : i + repetitions], level)
         for i in range(0, len(values), repetitions)
@@ -272,16 +285,13 @@ def learning_curves(
     config_factory=convergence_config,
 ) -> np.ndarray:
     """Per-repetition per-episode mean-reward traces, stacked (reps x episodes)."""
-    traces = []
-    for rep in range(repetitions):
-        cfg = config_factory(
-            load,
-            virtual=virtual,
-            seed=_cell_seed(master_seed, _CURVE, int(virtual), load, 0, rep),
-        )
-        _, record = train(cfg)
-        traces.append(record.episode_means())
-    return np.asarray(traces)
+    _check_counts(repetitions=repetitions)
+    key = (master_seed, _CURVE, int(virtual), load, 0)
+    cells = [
+        (config_factory(load, virtual=virtual, seed=_cell_seed(*key, rep)),)
+        for rep in range(repetitions)
+    ]
+    return np.asarray(_map(_curve, cells))
 
 
 #: Episodes in the moving average taken before a convergence scan.
@@ -321,11 +331,14 @@ def convergence_report(
 ) -> list[dict]:
     """Per-load convergence time of the averaged learning curve, with a
     bootstrap-over-repetitions confidence interval."""
-    loads = tuple(loads)
+    _check_counts(bootstrap=bootstrap)
+    if not epsilon > 0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"confidence level must lie in (0, 1), got {level}")
     rows = []
-    probe = config_factory(loads[0] if loads else 0.5, virtual=virtual, seed=0)
-    per_ep = probe.iters_per_episode
     for load in loads:
+        per_ep = config_factory(load, virtual=virtual, seed=0).iters_per_episode
         curves = learning_curves(
             load, repetitions, master_seed, virtual, config_factory=config_factory
         )

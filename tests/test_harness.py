@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 import hashlib
 import math
@@ -18,6 +19,7 @@ from irsa_rl.harness import (
     convergence_report,
     emit_report,
     epsilon_convergence_time,
+    learning_curves,
     run_sweep,
     waterfall_suite,
 )
@@ -290,6 +292,103 @@ def test_sweep_spec_accepts_generators():
     )
 
 
+# --- one repetition runner -----------------------------------------------------
+
+
+def _no_training(monkeypatch):
+    def fail(config):
+        raise AssertionError("trained before the arguments were checked")
+
+    monkeypatch.setattr(harness, "train", fail)
+
+
+@pytest.mark.parametrize(
+    "run,argument",
+    [
+        (lambda: waterfall_suite((0.3,), BASE, repetitions=0), "repetitions"),
+        (lambda: waterfall_suite((0.3,), BASE, trials=0), "trials"),
+        (lambda: compare_virtual(0.7, (0,), repetitions=0), "repetitions"),
+        (lambda: compare_virtual(0.7, (150,), trials=0), "trials"),
+        (lambda: compare_virtual(0.7, (150,), repetitions=-1), "repetitions"),
+        (lambda: learning_curves(0.7, 0, 0, False), "repetitions"),
+        (lambda: convergence_report((0.6,), repetitions=0), "repetitions"),
+    ],
+    ids=["waterfall-reps", "waterfall-trials", "compare-reps", "compare-trials",
+         "compare-negative-reps", "curves-reps", "convergence-reps"],
+)
+def test_repetition_and_trial_counts_are_checked_before_training(monkeypatch, run, argument):
+    # Zero repetitions used to raise range()'s ValueError or a TypeError, and
+    # zero trials gave rows of nan means and inf stderr.
+    _no_training(monkeypatch)
+    with pytest.raises(ConfigurationError, match=argument):
+        run()
+
+
+@pytest.mark.parametrize(
+    "kwargs,argument",
+    [
+        (dict(bootstrap=0), "bootstrap"),
+        (dict(epsilon=0.0), "epsilon"),
+        (dict(epsilon=math.nan), "epsilon"),
+        (dict(level=1.5), "level"),
+        (dict(level=0.0), "level"),
+        (dict(level=1.0), "level"),
+    ],
+    ids=["bootstrap-0", "epsilon-0", "epsilon-nan", "level-1.5", "level-0", "level-1"],
+)
+def test_convergence_report_checks_its_arguments_before_training(monkeypatch, kwargs, argument):
+    # bootstrap=0 used to raise IndexError, level=0 gave a degenerate
+    # interval, and epsilon=0 or level=1.5 failed only after a load trained.
+    _no_training(monkeypatch)
+    with pytest.raises(ConfigurationError, match=argument):
+        convergence_report((0.6, 0.3), repetitions=2, **kwargs)
+
+
+def test_every_experiment_trains_inside_the_one_runner(monkeypatch):
+    # Every experiment runs its repetitions through harness._map: a training
+    # run outside it would be a second repetition loop beside the runner.
+    calls = Counter()
+    real_map, real_train = harness._map, harness.train
+
+    def counting_map(*args, **kwargs):
+        calls["map"] += 1
+        calls["depth"] += 1
+        try:
+            return real_map(*args, **kwargs)
+        finally:
+            calls["depth"] -= 1
+
+    def counting_train(config):
+        calls["train"] += 1
+        calls["outside"] += calls["depth"] == 0
+        return real_train(config)
+
+    monkeypatch.setattr(harness, "_map", counting_map)
+    monkeypatch.setattr(harness, "train", counting_train)
+    short = TrainConfig(episodes=1, iters_per_episode=5)
+    experiments = {
+        "run_sweep": lambda: run_sweep(
+            SweepSpec(loads=(0.5,), variants=("dec_rl",), repetitions=2, trials=5), short
+        ),
+        "learning_curves": lambda: learning_curves(
+            0.6, 2, 10, True, config_factory=_short_convergence
+        ),
+        "convergence_report": lambda: convergence_report(
+            (0.6, 0.3), repetitions=2, bootstrap=5, config_factory=_short_convergence
+        ),
+        "compare_virtual": lambda: compare_virtual(
+            0.7, (5, 10), repetitions=2, trials=5, config_factory=_short_convergence
+        ),
+        "waterfall_suite": lambda: waterfall_suite((0.3,), short, repetitions=2, trials=5),
+    }
+    for experiment, run in experiments.items():
+        calls.clear()
+        run()
+        assert calls["map"] > 0, experiment
+        assert calls["train"] > 0, experiment
+        assert calls["outside"] == 0, experiment
+
+
 def _first_draw(*key) -> int:
     return int(harness._cell_rng(0, *key).integers(2**63))
 
@@ -374,6 +473,21 @@ def test_experiment_streams_are_pinned():
         "waterfall": _rows_digest(waterfall),
     }
     assert digests == _PINNED_EXPERIMENTS
+
+
+# Digests of the plain and virtual learning curves of three short repetitions:
+# running the repetitions through the shared runner must leave them alone.
+_PINNED_CURVES = {
+    False: "13c1a9650a1ec2e9ad89700e0d70e2f28b674626052bee5652eeb1e8a65e5b10",
+    True: "abcee7ac2d553078cefc6f1153a834eafe1261afdde58503d9a2e74a73165787",
+}
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["plain", "virtual"])
+def test_learning_curve_streams_are_pinned(virtual):
+    curves = learning_curves(0.7, 3, 8, virtual, config_factory=_short_convergence)
+    assert curves.shape == (3, 3) and curves.dtype == np.float64
+    assert hashlib.sha256(curves.tobytes()).hexdigest() == _PINNED_CURVES[virtual]
 
 
 def test_high_load_preset_caps_replicas():
