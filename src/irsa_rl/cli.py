@@ -1,6 +1,7 @@
 """Command-line front end for the simulator and experiment suite."""
 
 import argparse
+from dataclasses import replace
 import json
 import os
 import sys
@@ -20,7 +21,9 @@ from .env import (
     train,
 )
 from .harness import (
+    CONVERGENCE,
     FIXED_POLICIES,
+    SweepSpec,
     compare_virtual,
     convergence_report,
     emit_report,
@@ -45,35 +48,35 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _load_config(args) -> tuple[dict, TrainConfig]:
-    """The config file's values and the run configuration built from them.
-
-    A given flag that names a config key and has no default in the
-    subcommand's table overrides that key.
-    """
+def _load_config(args) -> tuple[TrainConfig, SweepSpec]:
+    """The command's run and sweep settings, each from the first source that
+    has it: a given flag that names its config key, the config file, then the
+    command's base. Exclusive flags choose what eval runs and name no key."""
+    command = _COMMANDS[args.command]
     values = configmod.parse_config_file(args.config) if args.config else {}
-    for flag, default in _COMMANDS[args.command].flags.items():
+    for flag in command.flags:
         key, value = _FLAGS[flag][1], getattr(args, flag)
-        if key and default is None and value is not None:
+        if key and value is not None and flag not in command.exclusive:
             values[key] = str(value)
-    return values, configmod.build_train_config(values)
+    run = configmod.build_train_config(values, command.base)
+    return run, configmod.build_sweep_spec(values, command.spec)
 
 
 def cmd_baseline(args) -> int:
-    _, cfg = _load_config(args)
+    cfg, spec = _load_config(args)
     rows = []
     rng = np.random.default_rng(cfg.seed)
     for load in (0.2, 0.5, 1.0):
         n_slots = 1000
         m = round(load * n_slots)
-        counts = simulate_slotted_aloha(m, n_slots, args.trials, rng)
+        counts = simulate_slotted_aloha(m, n_slots, spec.trials, rng)
         simulated = counts.mean() / n_slots
         analytic = slotted_aloha_throughput(load)
         rows.append(
             {
                 "load": load,
                 "n_slots": n_slots,
-                "frames": args.trials,
+                "frames": spec.trials,
                 "simulated": float(simulated),
                 "analytic": analytic,
                 "rel_error": float(abs(simulated - analytic) / analytic),
@@ -93,7 +96,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     nodes, record = train(cfg)
     os.makedirs(args.out, exist_ok=True)
     for i, node in enumerate(nodes):
@@ -119,7 +122,7 @@ def _load_checkpoint(path: str, d: int) -> QTable:
 
 
 def cmd_eval(args) -> int:
-    _, cfg = _load_config(args)
+    cfg, spec = _load_config(args)
     d = cfg.params.d
     if args.qtables:
         tables = [
@@ -134,7 +137,7 @@ def cmd_eval(args) -> int:
                 f"eval --variant {args.variant!r} is not a fixed policy: choose one of "
                 f"{', '.join(FIXED_POLICIES)}, or evaluate trained tables with --qtables"
             )
-    summary = evaluate(policy, cfg, args.trials, rng=np.random.default_rng(cfg.seed))
+    summary = evaluate(policy, cfg, spec.trials, rng=np.random.default_rng(cfg.seed))
     print(
         f"throughput {summary.mean:.4f} +- {summary.stderr:.4f} "
         f"[{summary.ci_low:.4f}, {summary.ci_high:.4f}] at {summary.level:.1%} "
@@ -144,8 +147,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values, cfg = _load_config(args)
-    spec = configmod.build_sweep_spec(values)
+    cfg, spec = _load_config(args)
     rows = run_sweep(spec, cfg, cfg.seed, workers=args.workers)
     table = [row.__dict__ for row in rows]
     emit_report({"sweep": table}, args.out)
@@ -154,23 +156,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    values, cfg = _load_config(args)
-    # Without an explicit list the report covers the loads the learning
-    # dynamics distinguish. One repetition of every (load, variant) trains
-    # in ~1.3 s on these four and ~4 s on the ten-load default grid (2-core
-    # x86 host), so 40 repetitions take ~50 s here and would take ~160 s.
-    if "loads" in values:
-        loads = configmod.build_sweep_spec(values).loads
-    else:
-        loads = (0.2, 0.4, 0.6, 0.7)
+    cfg, spec = _load_config(args)
+    # The virtual pass's run is built before the plain pass trains: a window
+    # too short for virtual experience fails at once.
+    replace(cfg, virtual_experience=True)
     rows = []
     for virtual in (False, True):
         rows.extend(
             convergence_report(
-                loads,
-                repetitions=args.reps,
+                spec.loads,
+                repetitions=spec.repetitions,
                 master_seed=cfg.seed,
                 virtual=virtual,
+                level=spec.level,
+                base=cfg,
             )
         )
     emit_report({"convergence": rows}, args.out)
@@ -179,14 +178,16 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_virtual_compare(args) -> int:
-    _, cfg = _load_config(args)
+    cfg, spec = _load_config(args)
     grid = (0, 150, 300, 600, 900, 1200, 1500)
     rows = compare_virtual(
         load=cfg.load,
         iteration_grid=grid,
-        repetitions=args.reps,
-        trials=args.trials,
+        repetitions=spec.repetitions,
+        trials=spec.trials,
         master_seed=cfg.seed,
+        level=spec.level,
+        base=cfg,
     )
     best = {r["variant"]: r["actual_iters"] for r in rows if r["is_best"]}
     checks = [("virtual_best_length_not_later", best["dec_rl_virtual"] <= best["dec_rl"])]
@@ -199,8 +200,7 @@ def cmd_virtual_compare(args) -> int:
 
 
 def cmd_waterfall(args) -> int:
-    values, cfg = _load_config(args)
-    spec = configmod.build_sweep_spec(values)
+    cfg, spec = _load_config(args)
     rows = waterfall_suite(
         spec.loads,
         cfg,
@@ -217,7 +217,9 @@ def cmd_waterfall(args) -> int:
 class _Command(NamedTuple):
     handler: Callable
     help: str
-    flags: dict  # flag -> default; None: unset, or the config key's value
+    flags: dict  # flag -> default; a flag that sets a config key has none
+    base: TrainConfig = TrainConfig()  # run settings the config file overrides
+    spec: SweepSpec = SweepSpec()  # sweep settings the config file overrides
     exclusive: tuple = ()  # flags that cannot be given together
 
 
@@ -237,25 +239,31 @@ _RUN = {"config": None, "seed": None, "out": "results"}
 _COMMANDS = {
     "baseline": _Command(
         cmd_baseline, "slotted-ALOHA analytic vs simulated check",
-        {**_RUN, "trials": 100_000},
+        {**_RUN, "trials": None}, spec=SweepSpec(trials=100_000),
     ),
     "train": _Command(cmd_train, "train one configuration, save q-tables + trace", _RUN),
     "eval": _Command(
         cmd_eval, "evaluate a frozen policy",
-        {"config": None, "seed": None, "trials": 1000, "variant": "vanilla_irsa",
+        {"config": None, "seed": None, "trials": None, "variant": "vanilla_irsa",
          "qtables": None},
-        exclusive=("variant", "qtables"),
+        spec=SweepSpec(trials=1000), exclusive=("variant", "qtables"),
     ),
     "sweep": _Command(
         cmd_sweep, "protocol comparison sweep",
         {**_RUN, "trials": None, "reps": None, "workers": 1, "variant": None},
     ),
+    # The report covers the loads the learning dynamics distinguish. One
+    # repetition of every (load, variant) trains in ~1.3 s on these four and
+    # ~4 s on the ten-load default grid (2-core x86 host), so 40 repetitions
+    # take ~50 s here and would take ~160 s.
     "convergence": _Command(
-        cmd_convergence, "epsilon-convergence report per load", {**_RUN, "reps": 40}
+        cmd_convergence, "epsilon-convergence report per load", {**_RUN, "reps": None},
+        CONVERGENCE, SweepSpec(loads=(0.2, 0.4, 0.6, 0.7), repetitions=40, level=0.95),
     ),
     "virtual-compare": _Command(
         cmd_virtual_compare, "throughput vs training length",
-        {**_RUN, "reps": 10, "trials": 400},
+        {**_RUN, "reps": None, "trials": None},
+        CONVERGENCE, SweepSpec(repetitions=10, trials=400),
     ),
     "waterfall": _Command(
         cmd_waterfall, "per-load best parameterization table",

@@ -3,9 +3,12 @@
 Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
 ignored. Lists are comma-separated. ``KEYS`` below is the one table of
 recognised keys: each maps to a field of ``TrainConfig``, ``ArrivalModel``,
-``LearningParams`` or ``SweepSpec`` and the parser of its value. A key that is
-absent leaves the dataclass default in place.
+``LearningParams`` or ``SweepSpec`` and the parser of its value. The builders
+apply a file's keys to a base instance; a key that is absent leaves the base's
+value in place.
 """
+
+from dataclasses import replace
 
 from .agent import LearningParams
 from .env import ArrivalModel, ConfigurationError, TrainConfig
@@ -62,9 +65,6 @@ KEYS = {
 }
 _ALL_KEYS = frozenset(KEYS)
 
-# SweepSpec has no default load grid: G = 0.1, 0.2, ..., 1.0.
-_DEFAULT_LOADS = tuple(round(g * 0.1, 1) for g in range(1, 11))
-
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -87,28 +87,24 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _build(owner, values: dict[str, str], **fields):
-    """``owner`` built from the keys of ``values`` that map to it, plus ``fields``."""
+def _build(base, values: dict[str, str], **fields):
+    """``base`` with the keys of ``values`` that map to its class, plus ``fields``."""
     for key, (cls, field, parse) in KEYS.items():
-        if cls is owner and key in values:
+        if cls is type(base) and key in values:
             try:
                 fields[field] = parse(values[key])
             except ValueError as exc:
                 raise ConfigurationError(f"bad value for {key!r}: {values[key]!r}") from exc
     try:
-        return owner(**fields)
+        return replace(base, **fields)
     except ValueError as exc:  # LearningParams raises plain ValueErrors
         raise ConfigurationError(str(exc)) from exc
 
 
-def build_train_config(values: dict[str, str]) -> TrainConfig:
-    return _build(
-        TrainConfig,
-        values,
-        params=_build(LearningParams, values),
-        arrivals=_build(ArrivalModel, values),
-    )
+def build_train_config(values: dict[str, str], base: TrainConfig = TrainConfig()) -> TrainConfig:
+    params, arrivals = _build(base.params, values), _build(base.arrivals, values)
+    return _build(base, values, params=params, arrivals=arrivals)
 
 
-def build_sweep_spec(values: dict[str, str]) -> SweepSpec:
-    return _build(SweepSpec, values, loads=_DEFAULT_LOADS)
+def build_sweep_spec(values: dict[str, str], base: SweepSpec = SweepSpec()) -> SweepSpec:
+    return _build(base, values)

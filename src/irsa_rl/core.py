@@ -120,9 +120,6 @@ class DegreeDistribution:
             coeffs[degree - 1] = p
         return cls(tuple(coeffs))
 
-    def as_terms(self) -> dict[int, float]:
-        return {i + 1: c for i, c in enumerate(self.coeffs) if c > 0}
-
 
 #: Reference IRSA distribution 0.25 x^2 + 0.60 x^3 + 0.15 x^8.
 BASELINE_IRSA = DegreeDistribution.from_terms({2: 0.25, 3: 0.60, 8: 0.15})

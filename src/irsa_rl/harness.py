@@ -33,6 +33,7 @@ __all__ = [
     "LOW_LOAD_PARAMS",
     "HIGH_LOAD_PARAMS",
     "CONVERGENCE_PARAMS",
+    "CONVERGENCE",
     "convergence_config",
     "run_sweep",
     "epsilon_convergence_time",
@@ -72,31 +73,28 @@ LOW_LOAD_PARAMS = LearningParams()
 #: and a tighter replica cap, which keeps congested channels sparse.
 HIGH_LOAD_PARAMS = LearningParams(epsilon=0.1, gamma=0.9, d=3)
 
-#: Preset for convergence-time experiments: a two-frame window (so one real
-#: transition generalizes across every buffer level), a wide action space,
-#: and arrivals heavy enough that untrained play starts with a deep backlog
-#: transient. Runs are stretched to 3000 iterations so both learners reach a
-#: genuine plateau before the convergence scan.
+#: Preset run of the convergence-time experiments, ``CONVERGENCE``, and its
+#: learner: a two-frame window (so one real transition generalizes across
+#: every buffer level), a wide action space, and arrivals heavy enough that
+#: untrained play starts with a deep backlog transient. Runs are stretched to
+#: 3000 iterations so both learners reach a genuine plateau before the
+#: convergence scan.
 CONVERGENCE_PARAMS = LearningParams(d=8, w=2)
+CONVERGENCE = TrainConfig(
+    params=CONVERGENCE_PARAMS, arrivals=ArrivalModel("bernoulli", 0.8), episodes=100
+)
 
 
 def convergence_config(load: float, virtual: bool = False, seed: int = 0) -> TrainConfig:
-    """Training configuration used by the convergence-time experiments."""
-    return TrainConfig(
-        load=load,
-        params=CONVERGENCE_PARAMS,
-        arrivals=ArrivalModel("bernoulli", 0.8),
-        virtual_experience=virtual,
-        episodes=100,
-        seed=seed,
-    )
+    """``CONVERGENCE`` at one load, variant and seed."""
+    return replace(CONVERGENCE.with_load(load), virtual_experience=virtual, seed=seed)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: loads x frame sizes x protocol variants."""
 
-    loads: tuple[float, ...]
+    loads: tuple[float, ...] = tuple(round(g * 0.1, 1) for g in range(1, 11))
     frame_sizes: tuple[int, ...] = (10,)
     variants: tuple[str, ...] = ("slotted_aloha", "vanilla_irsa", "dec_rl")
     repetitions: int = 20
@@ -107,10 +105,10 @@ class SweepSpec:
         # Materialise once: a generator would be exhausted by the checks below.
         for name in ("loads", "frame_sizes", "variants"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name} must not be empty")
         if not all(0 < g < np.inf for g in self.loads):
             raise ConfigurationError("loads must be positive and finite")
-        if not self.variants:
-            raise ConfigurationError("need at least one protocol variant")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigurationError(f"unknown variant {v!r}")
@@ -282,15 +280,13 @@ def learning_curves(
     repetitions: int,
     master_seed: int,
     virtual: bool,
-    config_factory=convergence_config,
+    base: TrainConfig = CONVERGENCE,
 ) -> np.ndarray:
-    """Per-repetition per-episode mean-reward traces, stacked (reps x episodes)."""
+    """Per-repetition per-episode mean-reward traces of ``base`` at ``load``."""
     _check_counts(repetitions=repetitions)
+    config = replace(base.with_load(load), virtual_experience=virtual)
     key = (master_seed, _CURVE, int(virtual), load, 0)
-    cells = [
-        (config_factory(load, virtual=virtual, seed=_cell_seed(*key, rep)),)
-        for rep in range(repetitions)
-    ]
+    cells = [(replace(config, seed=_cell_seed(*key, rep)),) for rep in range(repetitions)]
     return np.asarray(_map(_curve, cells))
 
 
@@ -327,21 +323,19 @@ def convergence_report(
     virtual: bool = False,
     bootstrap: int = 200,
     level: float = 0.95,
-    config_factory=convergence_config,
+    base: TrainConfig = CONVERGENCE,
 ) -> list[dict]:
     """Per-load convergence time of the averaged learning curve, with a
     bootstrap-over-repetitions confidence interval."""
-    _check_counts(bootstrap=bootstrap)
+    _check_counts(bootstrap=bootstrap, iters_per_episode=base.iters_per_episode)
     if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"confidence level must lie in (0, 1), got {level}")
+    per_ep = base.iters_per_episode
     rows = []
     for load in loads:
-        per_ep = config_factory(load, virtual=virtual, seed=0).iters_per_episode
-        curves = learning_curves(
-            load, repetitions, master_seed, virtual, config_factory=config_factory
-        )
+        curves = learning_curves(load, repetitions, master_seed, virtual, base)
         time_iters, nonconv = _curve_convergence_iters(curves, epsilon, per_ep)
         boot_rng = _cell_rng(master_seed, _BOOTSTRAP, int(virtual), load, 0, 0)
         boots = []
@@ -370,24 +364,26 @@ def compare_virtual(
     repetitions: int = 10,
     trials: int = 400,
     master_seed: int = 0,
-    config_factory=convergence_config,
+    level: float = 0.975,
+    base: TrainConfig = CONVERGENCE,
 ) -> list[dict]:
-    """Deployed throughput as a function of training length, for the plain
-    and virtual-experience variants; flags each variant's best length.
+    """Deployed throughput of ``base`` at ``load`` as a function of training
+    length, plain and with virtual experience; flags each variant's best length.
 
     Requested lengths are rounded down to whole episodes.
     """
     iteration_grid = list(iteration_grid)
     if not iteration_grid:
         raise ConfigurationError("iteration grid must be nonempty")
+    _check_counts(iters_per_episode=base.iters_per_episode)
     groups = []
     for virtual in (False, True):
-        probe = config_factory(load, virtual=virtual, seed=0)
+        run = replace(base.with_load(load), virtual_experience=virtual)
         for requested in map(int, iteration_grid):
-            config = replace(probe, episodes=requested // probe.iters_per_episode)
+            config = replace(run, episodes=requested // base.iters_per_episode)
             groups.append(((int(virtual), load, requested), config, None))
     summaries = _summaries(
-        master_seed, (_ABLATION_EVAL, _ABLATION_TRAIN), groups, trials, repetitions
+        master_seed, (_ABLATION_EVAL, _ABLATION_TRAIN), groups, trials, repetitions, level
     )
     rows = [
         {

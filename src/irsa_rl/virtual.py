@@ -24,7 +24,6 @@ __all__ = [
     "VirtualKey",
     "transform",
     "enumerate_class",
-    "class_size_bound",
     "batch_update",
 ]
 
@@ -62,15 +61,6 @@ def enumerate_class(key: VirtualKey, B: int, w: int) -> tuple[History, ...]:
     lo = max(sums)  # includes 0, so lo >= 0
     hi = B + min(sums)  # includes 0, so hi <= B
     return tuple(tuple(b - s for s in sums) for b in range(lo, hi + 1))
-
-
-def class_size_bound(key: VirtualKey, B: int) -> int:
-    """Upper bound on the class size: min(B + 1 - b_lo, b_hi + 1), where
-    b_lo / b_hi are the smallest / largest feasible first levels."""
-    sums = _prefix_sums(key)
-    b_lo = max(sums)
-    b_hi = B + min(sums)
-    return max(0, min(B + 1 - b_lo, b_hi + 1))
 
 
 def batch_update(

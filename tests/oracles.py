@@ -7,7 +7,7 @@ Deliberately brute-force: apart from ``exact_mean_decoded`` and
 share no code with the package internals.
 """
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import numpy as np
@@ -101,6 +101,19 @@ def enumerate_frames(max_users: int, n_slots: int):
         yield {u: assignment[u] for u in range(max_users)}
 
 
+def as_terms(dist) -> dict[int, float]:
+    """A degree distribution's nonzero coefficients as {degree: probability}."""
+    return {i + 1: c for i, c in enumerate(dist.coeffs) if c > 0}
+
+
+def class_size_bound(key, B: int) -> int:
+    """Upper bound on the size of the class of histories over [0, B] with the
+    difference tuple ``key``: min(B + 1 - b_lo, b_hi + 1), where b_lo / b_hi
+    are the smallest / largest feasible first levels."""
+    sums = list(accumulate(key, initial=0))
+    return max(0, min(B + 1 - max(sums), B + min(sums) + 1))
+
+
 def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
     """Exact expected decoded users per saturated frame of m users.
 
@@ -111,7 +124,7 @@ def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
     from irsa_rl.core import simulate_frame
 
     capped = [0.0] * (n_slots + 1)
-    for degree, p in dist.as_terms().items():
+    for degree, p in as_terms(dist).items():
         capped[min(degree, n_slots)] += p
     choices = [
         (frozenset(subset), capped[l] / comb(n_slots, l))

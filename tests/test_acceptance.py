@@ -27,9 +27,10 @@ from irsa_rl.harness import (
     run_sweep,
     waterfall_suite,
 )
-from irsa_rl.virtual import batch_update, class_size_bound, enumerate_class, transform
+from irsa_rl.virtual import batch_update, enumerate_class, transform
 
 from oracles import (
+    class_size_bound,
     enumerate_frames,
     sequential_batch_oracle,
     stopping_set_decode,

@@ -18,6 +18,8 @@ from irsa_rl.agent import (
     td_updates,
 )
 
+from oracles import as_terms
+
 
 PARAMS = LearningParams()
 
@@ -234,7 +236,7 @@ def test_extract_policy_single_greedy_action():
             for _ in range(k + 1):
                 q.record(h, a, -1.0 if a != 3 else -0.5)
     pol = extract_policy(q)
-    assert pol.as_terms() == {3: 1.0}
+    assert as_terms(pol) == {3: 1.0}
 
 
 def test_extract_policy_symmetric_split():
@@ -244,7 +246,7 @@ def test_extract_policy_symmetric_split():
         q.record(h1, a, -1.0 if a != 2 else -0.1)
         q.record(h2, a, -1.0 if a != 4 else -0.1)
     pol = extract_policy(q)
-    assert pol.as_terms() == {2: 0.5, 4: 0.5}
+    assert as_terms(pol) == {2: 0.5, 4: 0.5}
 
 
 def test_extract_policy_visit_weighting_with_optimistic_ties():

@@ -80,11 +80,7 @@ def test_experiments_call_the_wrapped_harness_names(monkeypatch):
     names = ("train", "deployed_policies", "simulate_saturated")
     calls = _count_calls(monkeypatch, harness, names)
 
-    def short(load, virtual=False, seed=0):
-        return replace(
-            harness.convergence_config(load, virtual, seed), episodes=1, iters_per_episode=5
-        )
-
+    short = replace(harness.CONVERGENCE, episodes=1, iters_per_episode=5)
     base = TrainConfig(episodes=1, iters_per_episode=5)
     experiments = {
         "sweep": lambda: harness.run_sweep(
@@ -92,7 +88,7 @@ def test_experiments_call_the_wrapped_harness_names(monkeypatch):
             base,
         ),
         "virtual-compare": lambda: harness.compare_virtual(
-            0.5, (5,), repetitions=1, trials=5, config_factory=short
+            0.5, (5,), repetitions=1, trials=5, base=short
         ),
         "waterfall": lambda: harness.waterfall_suite((0.5,), base, repetitions=1, trials=5),
     }

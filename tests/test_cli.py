@@ -1,18 +1,21 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsa_rl import cli, config as configmod, env
+from irsa_rl import cli, config as configmod, env, harness
 from irsa_rl.agent import LearningParams
 from irsa_rl.cli import main
 from irsa_rl.config import build_sweep_spec, build_train_config, parse_config_file
 from irsa_rl.env import ConfigurationError, TrainConfig
-from irsa_rl.harness import FIXED_POLICIES
+from irsa_rl.core import BASELINE_IRSA
+from irsa_rl.harness import CONVERGENCE, FIXED_POLICIES
 
 
 def write_config(tmp_path, text):
@@ -494,6 +497,8 @@ def test_cli_eval_variant_and_qtables_are_exclusive(tmp_path, capsys):
         "frame_sizes = 0",
         "repetitions = 0",
         "virtual_experience = maybe",
+        "loads =",
+        "frame_sizes =",
     ],
 )
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, line):
@@ -584,8 +589,10 @@ def test_huge_max_replicas_is_config_error_naming_the_row_size():
     [
         ("train", "virtual_experience = true\n"),
         ("sweep", "loads = 0.3\nvariants = slotted_aloha, dec_rl_virtual\n"),
+        ("convergence", "loads = 0.3\n"),
+        ("virtual-compare", ""),
     ],
-    ids=["train", "sweep"],
+    ids=["train", "sweep", "convergence", "virtual-compare"],
 )
 def test_cli_virtual_experience_with_window_1_is_config_error(
     tmp_path, capsys, command, text
@@ -662,3 +669,167 @@ def test_cli_outputs_are_pinned(tmp_path, command):
     assert main([command, "--config", cfg, "--out", out] + flags) == 0
     with open(os.path.join(out, csv_name), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+# --- one precedence rule: command default < config file < flag -----------------
+
+
+class _Stop(Exception):
+    """Raised by a recording stub: the command records its call and trains nothing."""
+
+
+# The package call each command hands its run settings to.
+_CALLEE = {
+    "convergence": "convergence_report",
+    "virtual-compare": "compare_virtual",
+    "eval": "evaluate",
+    "baseline": "simulate_slotted_aloha",
+}
+
+
+def _record(monkeypatch, command, returns=None):
+    """Replace the command's callee in ``cli`` with a stub that records each
+    call's arguments by name, defaults filled in. Without ``returns`` the
+    stub stops the command at its first call."""
+    name = _CALLEE[command]
+    signature = inspect.signature(getattr(cli, name))
+    calls = []
+
+    def stub(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        if returns is None:
+            raise _Stop
+        return returns(**bound.arguments)
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def _run_recorded(monkeypatch, tmp_path, command, argv, returns=None):
+    calls = _record(monkeypatch, command, returns)
+    if "out" in cli._COMMANDS[command].flags:
+        argv = argv + ["--out", str(tmp_path / "out")]
+    try:
+        main([command] + argv)
+    except _Stop:
+        pass
+    return calls
+
+
+# (command, config line, the recorded value it sets, that value)
+_FILE_KEYS = [
+    ("convergence", "repetitions = 3", lambda call: call["repetitions"], 3),
+    ("convergence", "ci_level = 0.9", lambda call: call["level"], 0.9),
+    ("convergence", "window = 3", lambda call: call["base"].params.w, 3),
+    ("convergence", "loads = 0.3, 0.5", lambda call: call["loads"], (0.3, 0.5)),
+    ("convergence", "seed = 9", lambda call: call["master_seed"], 9),
+    ("virtual-compare", "repetitions = 3", lambda call: call["repetitions"], 3),
+    ("virtual-compare", "trials = 7", lambda call: call["trials"], 7),
+    ("virtual-compare", "ci_level = 0.9", lambda call: call["level"], 0.9),
+    ("virtual-compare", "max_replicas = 5", lambda call: call["base"].params.d, 5),
+    ("virtual-compare", "load = 0.6", lambda call: call["load"], 0.6),
+    ("virtual-compare", "seed = 9", lambda call: call["master_seed"], 9),
+    ("eval", "trials = 7", lambda call: call["trials"], 7),
+    ("baseline", "trials = 7", lambda call: call["n_frames"], 7),
+]
+
+
+@pytest.mark.parametrize(
+    "command,line,get,value", _FILE_KEYS, ids=[f"{c}-{l}" for c, l, _, _ in _FILE_KEYS]
+)
+def test_cli_config_file_reaches_the_experiment(monkeypatch, tmp_path, command, line, get, value):
+    # convergence used to run 40 repetitions of its hard-wired preset,
+    # virtual-compare 10 x 400, eval 1000 trials and baseline 100000 frames,
+    # whatever the file said.
+    calls = _run_recorded(monkeypatch, tmp_path, command,
+                          ["--config", write_config(tmp_path, line + "\n")])
+    assert calls and get(calls[0]) == value
+
+
+# (command, config line, flag, flag value, the recorded value both set)
+_FLAG_OVER_FILE = [
+    ("convergence", "repetitions = 3", "--reps", "2", "repetitions"),
+    ("convergence", "seed = 9", "--seed", "4", "master_seed"),
+    ("virtual-compare", "repetitions = 3", "--reps", "2", "repetitions"),
+    ("virtual-compare", "trials = 7", "--trials", "5", "trials"),
+    ("virtual-compare", "seed = 9", "--seed", "4", "master_seed"),
+    ("eval", "trials = 7", "--trials", "5", "trials"),
+    ("baseline", "trials = 7", "--trials", "5", "n_frames"),
+]
+
+
+@pytest.mark.parametrize("command,line,flag,value,argument", _FLAG_OVER_FILE)
+def test_cli_flag_beats_config_file(monkeypatch, tmp_path, command, line, flag, value, argument):
+    argv = ["--config", write_config(tmp_path, line + "\n"), flag, value]
+    calls = _run_recorded(monkeypatch, tmp_path, command, argv)
+    assert calls and calls[0][argument] == int(value)
+
+
+def test_cli_convergence_without_file_makes_the_default_calls(monkeypatch, tmp_path):
+    calls = _run_recorded(monkeypatch, tmp_path, "convergence", [], returns=lambda **_: [])
+    assert calls == [
+        dict(loads=(0.2, 0.4, 0.6, 0.7), repetitions=40, epsilon=0.5, master_seed=0,
+             virtual=virtual, bootstrap=200, level=0.95, base=CONVERGENCE)
+        for virtual in (False, True)
+    ]
+
+
+def test_cli_virtual_compare_without_file_makes_the_default_call(monkeypatch, tmp_path):
+    calls = _run_recorded(monkeypatch, tmp_path, "virtual-compare", [])
+    assert calls == [
+        dict(load=0.5, iteration_grid=(0, 150, 300, 600, 900, 1200, 1500), repetitions=10,
+             trials=400, master_seed=0, level=0.975, base=CONVERGENCE)
+    ]
+
+
+def _first_draws(rng) -> list:
+    return rng.random(4).tolist()
+
+
+def test_cli_eval_without_file_makes_the_default_call(monkeypatch, tmp_path):
+    calls = _run_recorded(monkeypatch, tmp_path, "eval", [])
+    (call,) = calls
+    assert call["policy"] == [BASELINE_IRSA] * 5
+    assert (call["config"], call["trials"]) == (TrainConfig(), 1000)
+    assert _first_draws(call["rng"]) == _first_draws(np.random.default_rng(0))
+
+
+def test_cli_baseline_without_file_makes_the_default_calls(monkeypatch, tmp_path):
+    calls = _run_recorded(monkeypatch, tmp_path, "baseline", [],
+                          returns=lambda n_frames, **_: np.zeros(n_frames))
+    assert [(c["n_users"], c["n_slots"], c["n_frames"]) for c in calls] == [
+        (200, 1000, 100_000), (500, 1000, 100_000), (1000, 1000, 100_000)
+    ]
+    assert _first_draws(calls[0]["rng"]) == _first_draws(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("command", ["convergence", "virtual-compare"])
+def test_cli_window_1_fails_before_training(monkeypatch, tmp_path, capsys, command):
+    # The plain convergence pass used to train every load before the
+    # virtual pass rejected the window.
+    def train(config):
+        raise AssertionError("trained before the window was checked")
+
+    monkeypatch.setattr(harness, "train", train)
+    cfg = write_config(tmp_path, "window = 1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "window" in _config_error(capsys)["error"]
+
+
+def test_cli_flags_that_set_a_config_key_have_no_flag_default():
+    # A flag default would shadow the file's key: --trials and --reps once
+    # ran 40 repetitions or 1000 trials whatever the file said.
+    for name, command in cli._COMMANDS.items():
+        for flag, default in command.flags.items():
+            if cli._FLAGS[flag][1] and flag not in command.exclusive:
+                assert default is None, (name, flag)
+    assert all(c.flags.get(f) is None for c in cli._COMMANDS.values() for f in ("trials", "reps"))
+
+
+def test_no_config_factory_under_src():
+    # Every experiment takes its run settings as a base TrainConfig.
+    package = Path(cli.__file__).parent
+    for path in package.rglob("*.py"):
+        assert "config_factory" not in path.read_text(), path

@@ -11,6 +11,7 @@ from irsa_rl import harness
 from irsa_rl.core import slotted_aloha_throughput
 from irsa_rl.env import ConfigurationError, TrainConfig
 from irsa_rl.harness import (
+    CONVERGENCE,
     HIGH_LOAD_PARAMS,
     VARIANTS,
     SweepSpec,
@@ -76,9 +77,11 @@ def test_sweep_spec_validation():
         SweepSpec(loads=(-0.1,))
 
 
-def test_sweep_empty_loads_gives_empty_table():
-    spec = SweepSpec(loads=(), variants=("slotted_aloha",), repetitions=2, trials=10)
-    assert run_sweep(spec, BASE, master_seed=0) == []
+@pytest.mark.parametrize("field", ["loads", "frame_sizes", "variants"])
+def test_sweep_spec_rejects_empty_lists(field):
+    # An empty load list used to run no cell and write a CSV without a header.
+    with pytest.raises(ConfigurationError, match=f"{field} must not be empty"):
+        SweepSpec(**{field: ()})
 
 
 def test_sweep_slotted_aloha_large_frame_matches_formula():
@@ -182,38 +185,22 @@ def test_convergence_report_smoke():
     assert row["epsilon"] == 0.5
 
 
-def test_convergence_report_trains_with_config_factory():
-    calls = []
-
-    def short_runs(load, virtual=False, seed=0):
-        calls.append(seed)
-        return replace(
-            convergence_config(load, virtual=virtual, seed=seed),
-            episodes=4,
-            iters_per_episode=10,
-        )
-
+def test_convergence_report_trains_with_base():
+    short_runs = replace(CONVERGENCE, episodes=4, iters_per_episode=10)
     rows = convergence_report(
         loads=(0.6,), repetitions=2, master_seed=10, bootstrap=5,
-        config_factory=short_runs,
+        base=short_runs,
     )
-    # one probe plus one training config per repetition
-    assert len(calls) == 1 + 2
     # four 10-iteration episodes: convergence can be no later than episode 3
     assert 0 <= rows[0]["time_iters"] <= 3 * 10
 
 
-def _short_convergence(load, virtual=False, seed=0):
-    return replace(
-        convergence_config(load, virtual=virtual, seed=seed),
-        episodes=3,
-        iters_per_episode=5,
-    )
+_SHORT_CONVERGENCE = replace(CONVERGENCE, episodes=3, iters_per_episode=5)
 
 
 def test_convergence_report_accepts_generator_loads():
     kwargs = dict(repetitions=2, master_seed=10, bootstrap=5,
-                  config_factory=_short_convergence)
+                  base=_SHORT_CONVERGENCE)
     rows = convergence_report(loads=(g for g in (0.6, 0.3)), **kwargs)
     assert rows == convergence_report(loads=(0.6, 0.3), **kwargs)
     assert [r["load"] for r in rows] == [0.6, 0.3]
@@ -325,6 +312,22 @@ def test_repetition_and_trial_counts_are_checked_before_training(monkeypatch, ru
 
 
 @pytest.mark.parametrize(
+    "run",
+    [
+        lambda base: compare_virtual(0.7, (150,), repetitions=1, trials=5, base=base),
+        lambda base: convergence_report((0.6,), repetitions=1, bootstrap=5, base=base),
+    ],
+    ids=["compare_virtual", "convergence_report"],
+)
+def test_episodes_without_iterations_are_rejected_before_training(monkeypatch, run):
+    # A base with iters_per_episode = 0 made compare_virtual divide by zero;
+    # a config file can now set it for both experiments.
+    _no_training(monkeypatch)
+    with pytest.raises(ConfigurationError, match="iters_per_episode"):
+        run(replace(CONVERGENCE, iters_per_episode=0))
+
+
+@pytest.mark.parametrize(
     "kwargs,argument",
     [
         (dict(bootstrap=0), "bootstrap"),
@@ -371,13 +374,13 @@ def test_every_experiment_trains_inside_the_one_runner(monkeypatch):
             SweepSpec(loads=(0.5,), variants=("dec_rl",), repetitions=2, trials=5), short
         ),
         "learning_curves": lambda: learning_curves(
-            0.6, 2, 10, True, config_factory=_short_convergence
+            0.6, 2, 10, True, base=_SHORT_CONVERGENCE
         ),
         "convergence_report": lambda: convergence_report(
-            (0.6, 0.3), repetitions=2, bootstrap=5, config_factory=_short_convergence
+            (0.6, 0.3), repetitions=2, bootstrap=5, base=_SHORT_CONVERGENCE
         ),
         "compare_virtual": lambda: compare_virtual(
-            0.7, (5, 10), repetitions=2, trials=5, config_factory=_short_convergence
+            0.7, (5, 10), repetitions=2, trials=5, base=_SHORT_CONVERGENCE
         ),
         "waterfall_suite": lambda: waterfall_suite((0.3,), short, repetitions=2, trials=5),
     }
@@ -462,7 +465,7 @@ def test_experiment_streams_are_pinned():
     )
     compare = compare_virtual(
         0.7, iteration_grid=(0, 10, 25), repetitions=2, trials=20,
-        master_seed=6, config_factory=_short_convergence,
+        master_seed=6, base=_SHORT_CONVERGENCE,
     )
     waterfall = waterfall_suite(
         loads=(0.3, 0.9), base=short, repetitions=2, trials=20, master_seed=7
@@ -485,7 +488,7 @@ _PINNED_CURVES = {
 
 @pytest.mark.parametrize("virtual", [False, True], ids=["plain", "virtual"])
 def test_learning_curve_streams_are_pinned(virtual):
-    curves = learning_curves(0.7, 3, 8, virtual, config_factory=_short_convergence)
+    curves = learning_curves(0.7, 3, 8, virtual, base=_SHORT_CONVERGENCE)
     assert curves.shape == (3, 3) and curves.dtype == np.float64
     assert hashlib.sha256(curves.tobytes()).hexdigest() == _PINNED_CURVES[virtual]
 

@@ -8,10 +8,11 @@ from irsa_rl import virtual
 from irsa_rl.agent import LearningParams, QTable, learning_rate, q_update
 from irsa_rl.virtual import (
     batch_update,
-    class_size_bound,
     enumerate_class,
     transform,
 )
+
+from oracles import class_size_bound
 
 
 # --- transform ----------------------------------------------------------------
