@@ -12,20 +12,27 @@ one frame held as a user -> slot-list mapping: it builds the slot -> users
 lists once, and each pass visits only the slots that the previous pass's
 cancellations left with one user. It is the one single-frame decoder, called
 once per training frame by ``env.step_frame`` and by the tests that check
-decoding against brute-force oracles. ``_peel_frames`` peels a whole
-(frames, users, slots) incidence tensor at once; ``simulate_saturated`` uses
-it. Both keep the same fixed point and pass count. The kernel does not take
-the single-frame path, because it loses at one frame: for one frame of 10
-users in 10 slots with ``BASELINE_IRSA`` degrees, ``simulate_frame`` takes
-about 6 us (best of 40 interleaved runs of 500 frames) and building the
-incidence tensor + ``_peel_frames`` about 40 us (median of 50 frames), both
-on a 2-core x86 host. On a batch it wins: ``simulate_saturated`` spends
-about 2.5 us per frame of 10 users in 10 slots and 35 us per frame of 40
-users in 50 slots. All-degree-1 frames of 1000 users in 1000 slots take
-8.7 us through ``simulate_slotted_aloha``. These are whole-call figures,
-degree draws and placement included (per-shape median op latency, in the
-benchmark's reference seconds, over ten 20 s ``saturated_eval`` runs on a
-2-core x86 host).
+decoding against brute-force oracles. ``_peel_words`` peels a batch of
+frames held as bit words: a frame's slot is W = ceil(users / 64) uint64
+words, and bit u % 64 of word u // 64 is set when user u has a replica
+there. A round finds the singleton slots with ``np.bitwise_count``, ORs
+their words into each frame's newly decoded users and clears those bits
+from every slot, so it costs O(frames * slots * W), not
+O(frames * users * slots). Both kernels keep the same fixed point and pass
+count. ``simulate_saturated`` packs each draw chunk's placements into words
+with one float64 matrix product and peels up to ``_CHUNK_ELEMENTS`` words at
+a time: about 13000 frames of one word in 10 slots. The batch kernel
+does not take the single-frame path, because it loses at one frame: for one
+frame of 10 users in 10 slots with ``BASELINE_IRSA`` degrees,
+``simulate_frame`` takes about 7 us and packing + ``_peel_words`` about
+45 us (best of 40 interleaved runs of 500 frames), both on a 2-core x86
+host. On a batch it wins: ``simulate_saturated`` spends about 2.0 us per
+frame of 10 users in 10 slots and 21 us per frame of 40 users in 50 slots.
+All-degree-1 frames of 1000 users in 1000 slots take 7.8 us through
+``simulate_slotted_aloha``. These are whole-call figures, degree draws and
+placement included (per-shape median op latency, in the benchmark's
+reference seconds, over ten 30 s ``saturated_eval`` runs on a 2-core x86
+host).
 
 Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
 its route before it draws: when every policy's maximum degree, capped at N,
@@ -73,7 +80,8 @@ __all__ = [
 _PROB_TOL = 1e-9
 
 #: Elements per chunk of the saturated runners: (frame, user, slot) uniforms
-#: in ``simulate_saturated``, (frame, user) slot draws in
+#: and, per peel batch, (slot, word, frame) occupancy words in
+#: ``simulate_saturated``; (frame, user) slot draws in
 #: ``simulate_slotted_aloha``. At 8 bytes each a chunk's draws fill 1 MiB,
 #: half of a 2 MiB per-core L2 cache; on the benchmark's shapes it ran
 #: faster than chunks of 2e5 or 4e6 elements.
@@ -178,31 +186,36 @@ def _place_rows(uniforms: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return incidence
 
 
-def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Peeling fixed point over a (frames, users, slots) bool incidence tensor.
+def _peel_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peeling fixed point over (slots, W, frames) uint64 occupancy words.
 
-    Every round computes the slot loads, decodes the users of singleton slots
-    (load 1) and clears their rows, exactly one ``simulate_frame`` pass per
-    frame. Returns the (frames, users) decoded flags and the (frames,) count
+    Bit u % 64 of word u // 64 of a slot is set when user u has a replica
+    there. Every round marks the singleton slots (one set bit over the
+    slot's words), ORs their words into each frame's newly decoded users and
+    clears those users from every slot: exactly one ``simulate_frame`` pass
+    per frame. Returns the (W, frames) decoded words and the (frames,) count
     of productive passes; rounds continue only on frames that made progress.
+    ``words`` is left as it was.
     """
-    n_frames, n_users, _ = incidence.shape
-    decoded = np.zeros((n_frames, n_users), dtype=bool)
+    n_slots, n_words, n_frames = words.shape
+    decoded = np.zeros((n_words, n_frames), dtype=np.uint64)
     passes = np.zeros(n_frames, dtype=np.int64)
     live = np.arange(n_frames)
-    # As 0/1 float32 both reductions of a round run as batched matrix
-    # products; every sum is a small integer, so they are exact.
-    work = incidence.astype(np.float32)
-    ones = np.ones((1, n_users), dtype=np.float32)
+    work = words.copy()
     while live.size:
-        singles = (ones @ work == 1).astype(np.float32)  # (live, 1, slots)
-        newly = (work @ singles.transpose(0, 2, 1))[:, :, 0] > 0
-        progress = newly.any(axis=1)
+        bits = np.bitwise_count(work)
+        load = bits[:, 0] if n_words == 1 else bits.sum(axis=1)
+        # On the 2-D (slots, W * live) view a round runs several times faster
+        # than on the 3-D array with a size-1 middle axis.
+        flat = work.reshape(n_slots, n_words * live.size)
+        newly = np.bitwise_or.reduce(flat * np.tile(load == 1, n_words), axis=0)
+        newly = newly.reshape(n_words, live.size)
+        progress = newly.any(axis=0)
         if not progress.all():
-            live, work, newly = live[progress], work[progress], newly[progress]
+            live, work, newly = live[progress], work[:, :, progress], newly[:, progress]
         passes[live] += 1
-        decoded[live] |= newly
-        work[newly] = 0
+        decoded[:, live] |= newly
+        work &= ~newly
     return decoded, passes
 
 
@@ -267,21 +280,26 @@ def simulate_slotted_aloha(
 
     With every user at degree 1, peeling decodes exactly the singleton slots
     and cancellation can never create new singletons, so the whole Monte
-    Carlo runs as chunked bincounts. Used for large-N throughput curves.
+    Carlo runs as chunked slot counts. Used for large-N throughput curves.
     """
     counts = np.empty(n_frames, dtype=np.int64)
     # Draws below 2**32 take 32-bit outputs, and the generator keeps the
     # spare half of a 64-bit output between calls, so chunking leaves the
     # stream as one (n_frames, n_users) draw would have it.
-    chunk = max(1, _CHUNK_ELEMENTS // max(n_users, 1))
+    chunk = max(1, min(n_frames, _CHUNK_ELEMENTS // max(n_users, 1)))
+    # Every chunk counts into one buffer: a fresh 1 MiB ``bincount`` per chunk
+    # had the allocator trim its heap and page-fault it in again, chunk after
+    # chunk, in some processes.
+    occupancy = np.empty((chunk, n_slots), dtype=np.intp)
     done = 0
     while done < n_frames:
         f = min(chunk, n_frames - done)
         slots = rng.integers(0, n_slots, size=(f, n_users))
         slots += np.arange(0, f * n_slots, n_slots)[:, None]
-        occupancy = np.bincount(slots.ravel(), minlength=f * n_slots).reshape(f, n_slots)
+        occupancy[:f] = 0
+        np.add.at(occupancy[:f].reshape(-1), slots.ravel(), 1)
         del slots
-        counts[done : done + f] = (occupancy == 1).sum(axis=1)
+        counts[done : done + f] = (occupancy[:f] == 1).sum(axis=1)
         done += f
     return counts
 
@@ -312,16 +330,30 @@ def simulate_saturated(
     degrees = np.stack([sample_degrees(dist, n_frames, rng) for dist in policies], axis=1)
     np.minimum(degrees, n_slots, out=degrees)
 
-    counts = np.empty(n_frames, dtype=np.int64)
-    chunk = min(n_frames, max(1, _CHUNK_ELEMENTS // (n_users * n_slots)))
+    # Row u // 32 of the weights holds 2**(u % 32) for user u, so one matrix
+    # product sums each 32-user half of a word into a float64 below 2**32,
+    # exactly, and the halves join into the users' uint64 words.
+    n_words = -(-n_users // 64)
+    user = np.arange(n_users)
+    weights = np.zeros((2 * n_words, n_users))
+    weights[user // 32, user] = np.ldexp(1.0, user % 32)
+
+    chunk = max(1, min(n_frames, _CHUNK_ELEMENTS // (n_users * n_slots)))
+    # A peel batch is a whole number of draw chunks, up to _CHUNK_ELEMENTS words.
+    batch = chunk * max(1, _CHUNK_ELEMENTS // (chunk * n_slots * n_words))
     # Every chunk draws into one buffer: a fresh 1 MiB array per chunk had the
     # allocator hand its heap back and page-fault it in again on most chunks.
     uniforms = np.empty((chunk, n_users, n_slots))
-    done = 0
-    while done < n_frames:
-        f = min(chunk, n_frames - done)
-        incidence = _place_rows(rng.random(out=uniforms[:f]), degrees[done : done + f])
-        decoded, _ = _peel_frames(incidence)
-        counts[done : done + f] = decoded.sum(axis=1)
-        done += f
+    words = np.empty((n_slots, n_words, min(batch, n_frames)), dtype=np.uint64)
+    counts = np.empty(n_frames, dtype=np.int64)
+    for start in range(0, n_frames, batch):
+        stop = min(start + batch, n_frames)
+        for done in range(start, stop, chunk):
+            f = min(chunk, stop - done)
+            incidence = _place_rows(rng.random(out=uniforms[:f]), degrees[done : done + f])
+            halves = (weights @ incidence).astype(np.uint64)  # (f, 2W, slots)
+            packed = halves[:, 0::2] | halves[:, 1::2] << 32
+            words[:, :, done - start : done - start + f] = packed.transpose(2, 1, 0)
+        decoded, _ = _peel_words(words[:, :, : stop - start])
+        counts[start:stop] = np.bitwise_count(decoded).sum(axis=0)
     return counts

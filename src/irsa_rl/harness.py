@@ -11,7 +11,6 @@ the training-length ablation and the waterfall study map one train -> deploy
 ``irsa-rl eval`` the policies of every variant that does not train.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 import csv
 from itertools import product
@@ -191,6 +190,9 @@ def _curve(config: TrainConfig) -> np.ndarray:
 def _map(fn, cells, workers: int = 1) -> list:
     """``fn(*cell)`` per cell, in input order; in a process pool when ``workers > 1``."""
     if workers > 1 and len(cells) > 1:
+        # Imported here: loading the process pool costs every command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*cells), chunksize=4))
     return [fn(*cell) for cell in cells]
@@ -332,6 +334,9 @@ def convergence_report(
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"confidence level must lie in (0, 1), got {level}")
+    loads = list(loads)
+    for load in loads:
+        base.with_load(load)  # a bad load raises here, before any load trains
     per_ep = base.iters_per_episode
     rows = []
     for load in loads:

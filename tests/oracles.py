@@ -63,6 +63,55 @@ def stable_argsort_placement(uniforms: np.ndarray, degrees: np.ndarray) -> np.nd
     return incidence
 
 
+def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peeling fixed point over a (frames, users, slots) bool incidence tensor.
+
+    Every round computes the slot loads, decodes the users of singleton slots
+    (load 1) and clears their rows, exactly one ``simulate_frame`` pass per
+    frame. Returns the (frames, users) decoded flags and the (frames,) count
+    of productive passes; rounds continue only on frames that made progress.
+    The package's batch kernel once ran this way, on float32 matrix products;
+    it is kept as a differential oracle for the bit-word kernel.
+    """
+    n_frames, n_users, _ = incidence.shape
+    decoded = np.zeros((n_frames, n_users), dtype=bool)
+    passes = np.zeros(n_frames, dtype=np.int64)
+    live = np.arange(n_frames)
+    # As 0/1 float32 both reductions of a round run as batched matrix
+    # products; every sum is a small integer, so they are exact.
+    work = incidence.astype(np.float32)
+    ones = np.ones((1, n_users), dtype=np.float32)
+    while live.size:
+        singles = (ones @ work == 1).astype(np.float32)  # (live, 1, slots)
+        newly = (work @ singles.transpose(0, 2, 1))[:, :, 0] > 0
+        progress = newly.any(axis=1)
+        if not progress.all():
+            live, work, newly = live[progress], work[progress], newly[progress]
+        passes[live] += 1
+        decoded[live] |= newly
+        work[newly] = 0
+    return decoded, passes
+
+
+def pack_users(incidence: np.ndarray) -> np.ndarray:
+    """(frames, users, slots) bool incidence as (slots, W, frames) uint64
+    words, W = ceil(users / 64): bit u % 64 of word u // 64 is user u."""
+    n_frames, n_users, n_slots = incidence.shape
+    words = np.zeros((n_slots, -(-n_users // 64), n_frames), dtype=np.uint64)
+    for f, u, s in zip(*np.nonzero(incidence)):
+        words[s, u // 64, f] |= np.uint64(1) << np.uint64(u % 64)
+    return words
+
+
+def unpack_users(words: np.ndarray, n_users: int) -> np.ndarray:
+    """(W, frames) uint64 words as (frames, users) bool flags."""
+    return np.array(
+        [[bool(int(words[u // 64, f]) >> (u % 64) & 1) for u in range(n_users)]
+         for f in range(words.shape[1])],
+        dtype=bool,
+    ).reshape(words.shape[1], n_users)
+
+
 def all_orders_decode(bursts: dict, n_slots: int) -> set:
     """Explore every possible peeling order and check they all agree.
 

@@ -15,21 +15,24 @@ from irsa_rl.core import (
     slotted_aloha_throughput,
     uniform_distribution,
     _CHUNK_ELEMENTS,
-    _peel_frames,
+    _peel_words,
     _place_rows,
 )
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (
+    _peel_frames,
     all_orders_decode,
     enumerate_frames,
     exact_mean_decoded,
+    pack_users,
     stable_argsort_placement,
     stopping_set_decode,
     stopping_set_decode_fast,
     subset_masks,
+    unpack_users,
 )
 
 #: 0.2 x + 0.5 x^2 + 0.3 x^3
@@ -339,12 +342,28 @@ _MIXED = [PURE_ALOHA, uniform_distribution(3), LAMBDA_3, BASELINE_IRSA]
 _ONES_D2 = DegreeDistribution((1.0, 0.0))
 
 
-@pytest.mark.parametrize(
-    "n_slots,policies,n_frames",
-    [(10, [BASELINE_IRSA] * 10, 2500), (50, [BASELINE_IRSA] * 40, 250), (4, _MIXED, 13000),
-     (6, [_ONES_D2] * 8, 5000)],
-    ids=["10-10-2500", "50-40-250", "mixed-4-13000", "ones-d2-6-5000"],
-)
+#: (n_slots, policies, n_frames) of the replays. 70 and 130 users fill two
+#: and three occupancy words; 12 users in 12 slots over 11500 frames hold
+#: more than _CHUNK_ELEMENTS words, so that call peels in two batches.
+_REPLAYS = {
+    "10-10-2500": (10, [BASELINE_IRSA] * 10, 2500),
+    "50-40-250": (50, [BASELINE_IRSA] * 40, 250),
+    "mixed-4-13000": (4, _MIXED, 13000),
+    "ones-d2-6-5000": (6, [_ONES_D2] * 8, 5000),
+    "80-70-30": (80, [BASELINE_IRSA] * 70, 30),
+    "140-130-24": (140, [BASELINE_IRSA] * 130, 24),
+    "12-12-11500": (12, [BASELINE_IRSA] * 12, 11500),
+}
+
+
+def test_replays_span_words_and_peel_batches():
+    words = {-(-len(policies) // 64) for _, policies, _ in _REPLAYS.values()}
+    assert {1, 2, 3} <= words
+    n_slots, policies, n_frames = _REPLAYS["12-12-11500"]
+    assert n_frames * n_slots * -(-len(policies) // 64) > _CHUNK_ELEMENTS
+
+
+@pytest.mark.parametrize("n_slots,policies,n_frames", list(_REPLAYS.values()), ids=list(_REPLAYS))
 def test_simulate_saturated_replays_sic_decode_exactly(n_slots, policies, n_frames):
     assert n_frames * len(policies) * n_slots > _CHUNK_ELEMENTS
     rng = np.random.default_rng(21)
@@ -460,6 +479,51 @@ def test_peel_frames_matches_stopping_set_oracle(incidence):
     for i, frame in enumerate(incidence.astype(np.int64)):
         assert np.array_equal(decoded[i], stopping_set_decode_fast(frame, masks))
     assert np.all(passes <= decoded.sum(axis=1))
+
+
+@st.composite
+def _random_frames(draw):
+    """(frames, users, slots) incidence of 0-130 users (0 to 3 words) in 1-60
+    slots, each user on 1 to 3 distinct slots, from a drawn seed."""
+    n_users = draw(st.integers(0, 130))
+    n_slots = draw(st.integers(1, 60))
+    n_frames = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degrees = rng.integers(1, min(3, n_slots) + 1, size=(n_frames, n_users))
+    return _place_rows(rng.random((n_frames, n_users, n_slots)), degrees)
+
+
+def _chain_frame(chain, n_users):
+    """One frame where user chain[k] sits on slots k and k + 1: the two ends
+    are alone in a slot and peeling works inwards, one link per pass."""
+    incidence = np.zeros((1, n_users, len(chain) + 1), dtype=bool)
+    for k, user in enumerate(chain):
+        incidence[0, user, [k, k + 1]] = True
+    return incidence
+
+
+@settings(max_examples=150)
+@given(_random_frames())
+@example(np.zeros((1, 0, 5), dtype=bool))
+@example(np.ones((2, 1, 1), dtype=bool))
+@example(np.eye(64, dtype=bool)[None].repeat(2, axis=0))
+@example(np.eye(65, 60, dtype=bool)[None])
+@example(_chain_frame((129, 0, 64, 128, 1, 65), n_users=130))
+def test_peel_words_matches_float32_oracle_and_simulate_frame(incidence):
+    n_frames, n_users, _ = incidence.shape
+    words = pack_users(incidence)
+    before = words.copy()
+    decoded, passes = _peel_words(words)
+    assert np.array_equal(words, before)
+    assert decoded.shape == (-(-n_users // 64), n_frames)
+    flags = unpack_users(decoded, n_users)
+    oracle_flags, oracle_passes = _peel_frames(incidence)
+    assert np.array_equal(flags, oracle_flags)
+    assert np.array_equal(passes, oracle_passes)
+    for i, frame in enumerate(incidence):
+        out = simulate_frame({u: np.flatnonzero(slots).tolist() for u, slots in enumerate(frame)})
+        assert set(np.flatnonzero(flags[i])) == out.decoded
+        assert passes[i] == out.iterations
 
 
 def test_slotted_aloha_throughput_values():

@@ -347,6 +347,22 @@ def test_convergence_report_checks_its_arguments_before_training(monkeypatch, kw
         convergence_report((0.6, 0.3), repetitions=2, **kwargs)
 
 
+def test_convergence_report_checks_every_load_before_training(monkeypatch):
+    # A bad late load (0.01 gives m = round(0.1) = 0 nodes) used to raise only
+    # after every earlier load had trained.
+    calls = Counter()
+    real_train = harness.train
+
+    def counting_train(config):
+        calls["train"] += 1
+        return real_train(config)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    with pytest.raises(ConfigurationError, match="zero nodes"):
+        convergence_report((0.3, 0.01), repetitions=2, bootstrap=5, base=_SHORT_CONVERGENCE)
+    assert calls["train"] == 0
+
+
 def test_every_experiment_trains_inside_the_one_runner(monkeypatch):
     # Every experiment runs its repetitions through harness._map: a training
     # run outside it would be a second repetition loop beside the runner.

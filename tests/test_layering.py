@@ -3,7 +3,8 @@
 ``core`` is the frame physics and imports no other package module; ``env``
 drives training on top of ``core``, ``agent``, ``virtual`` and ``stats``, and
 must not pull in the experiment harness, the config parser, the CLI or the
-process pool. The package ``__init__`` re-exports nothing, so importing a
+process pool. The CLI loads the process pool only when a command runs with
+more than one worker, so no command pays for it at start-up. The package ``__init__`` re-exports nothing, so importing a
 submodule loads only what that submodule imports.
 """
 
@@ -44,3 +45,9 @@ def test_env_loads_no_harness_config_cli_or_process_pool():
     loaded = _loaded_by("irsa_rl.env")
     upper = {"irsa_rl.harness", "irsa_rl.config", "irsa_rl.cli", "concurrent.futures"}
     assert not loaded & upper, sorted(loaded & upper)
+
+
+def test_cli_loads_no_process_pool():
+    loaded = _loaded_by("irsa_rl.cli")
+    pool = {"concurrent.futures.process", "multiprocessing"}
+    assert not loaded & pool, sorted(loaded & pool)
