@@ -137,7 +137,8 @@ def cmd_eval(args) -> int:
                 f"eval --variant {args.variant!r} is not a fixed policy: choose one of "
                 f"{', '.join(FIXED_POLICIES)}, or evaluate trained tables with --qtables"
             )
-    summary = evaluate(policy, cfg, spec.trials, rng=np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
+    summary = evaluate(policy, cfg, spec.trials, rng, level=spec.level)
     print(
         f"throughput {summary.mean:.4f} +- {summary.stderr:.4f} "
         f"[{summary.ci_low:.4f}, {summary.ci_high:.4f}] at {summary.level:.1%} "

@@ -1,11 +1,11 @@
 """Key-value run configuration files.
 
-Format: one ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored. Lists are comma-separated. ``KEYS`` below is the one table of
-recognised keys: each maps to a field of ``TrainConfig``, ``ArrivalModel``,
-``LearningParams`` or ``SweepSpec`` and the parser of its value. The builders
-apply a file's keys to a base instance; a key that is absent leaves the base's
-value in place.
+Format: one ``key = value`` pair per line, each key at most once; blank lines
+and ``#`` comments are ignored. Lists are comma-separated. ``KEYS`` below is
+the one table of recognised keys: each maps to a field of ``TrainConfig``,
+``ArrivalModel``, ``LearningParams`` or ``SweepSpec`` and the parser of its
+value. The builders apply a file's keys to a base instance; a key that is
+absent leaves the base's value in place.
 """
 
 from dataclasses import replace
@@ -38,7 +38,6 @@ KEYS = {
     # run
     "n_slots": (TrainConfig, "n_slots", int),
     "load": (TrainConfig, "load", float),
-    "n_nodes": (TrainConfig, "n_nodes", int),
     "episodes": (TrainConfig, "episodes", int),
     "iters_per_episode": (TrainConfig, "iters_per_episode", int),
     "virtual_experience": (TrainConfig, "virtual_experience", _bool),
@@ -68,6 +67,7 @@ _ALL_KEYS = frozenset(KEYS)
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -81,7 +81,11 @@ def parse_config_file(path: str) -> dict[str, str]:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in _ALL_KEYS:
                     raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value
+                if key in values:
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}"
+                    )
+                values[key], first_line[key] = value, lineno
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
     return values

@@ -318,7 +318,7 @@ def simulate_saturated(
     ``simulate_slotted_aloha``; frames whose drawn degrees are all 1 are peeled.
     """
     if isinstance(policies, DegreeDistribution):
-        raise TypeError("pass an explicit per-node sequence or use [dist] * n_nodes")
+        raise TypeError("pass an explicit per-node sequence or use [dist] * m")
     if n_slots < 1:
         raise ValueError("a frame needs at least one slot")
     n_users = len(policies)

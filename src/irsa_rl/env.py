@@ -28,7 +28,7 @@ reset's ``integers`` draw uses. Poisson arrivals take a variable number of
 draws, so their chunks are one frame: its block, then its arrivals.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -145,18 +145,15 @@ class TrainConfig:
     iters_per_episode: int = 30
     virtual_experience: bool = False
     arrivals: ArrivalModel = ArrivalModel()
-    n_nodes: int | None = None  # default: round(load * n_slots)
     seed: int = 0
 
     def __post_init__(self):
         if self.n_slots < 1:
             raise ConfigurationError("n_slots must be >= 1")
-        if not self.load < np.inf:
-            raise ConfigurationError("load must be finite")
+        if not 0 < self.load < np.inf:
+            raise ConfigurationError("load must be positive and finite")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.load <= 0 and self.n_nodes is None:
-            raise ConfigurationError("load must be positive")
         if self.episodes < 0 or self.iters_per_episode < 0:
             raise ConfigurationError("episode dimensions cannot be negative")
         try:
@@ -183,19 +180,12 @@ class TrainConfig:
 
     @property
     def m(self) -> int:
-        """Number of nodes: explicit override or round(load * n_slots)."""
-        if self.n_nodes is not None:
-            return self.n_nodes
+        """Number of nodes: round(load * n_slots), the load G = m / N."""
         return int(round(self.load * self.n_slots))
 
     @property
     def total_iterations(self) -> int:
         return self.episodes * self.iters_per_episode
-
-    def with_load(self, load: float, n_slots: int | None = None) -> "TrainConfig":
-        if n_slots is None:
-            n_slots = self.n_slots
-        return replace(self, load=load, n_slots=n_slots, n_nodes=None)
 
 
 class FrameResult(NamedTuple):
@@ -495,13 +485,15 @@ def evaluate(
     config: TrainConfig,
     trials: int,
     rng: np.random.Generator,
+    level: float = 0.975,
 ) -> Summary:
     """Frozen-policy Monte Carlo throughput (no learning, no exploration).
 
     ``policy`` is a DegreeDistribution shared by all nodes or a per-node
     sequence of distributions (``deployed_policies`` turns trained Q-tables
     into one). Every trial is one saturated frame: every node is backlogged
-    and draws its replica count from its distribution.
+    and draws its replica count from its distribution. ``level`` is the
+    two-sided confidence level of the returned interval.
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
@@ -514,4 +506,4 @@ def evaluate(
         if len(policy) != config.m:
             raise ConfigurationError(f"expected {config.m} per-node policies")
     counts = simulate_saturated(policy, config.n_slots, trials, rng)
-    return t_interval(counts / config.n_slots)
+    return t_interval(counts / config.n_slots, level)

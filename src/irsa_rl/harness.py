@@ -29,8 +29,7 @@ __all__ = [
     "fixed_policies",
     "SweepSpec",
     "SweepRow",
-    "LOW_LOAD_PARAMS",
-    "HIGH_LOAD_PARAMS",
+    "HIGH_LOAD_TUNING",
     "CONVERGENCE_PARAMS",
     "CONVERGENCE",
     "convergence_config",
@@ -65,12 +64,10 @@ def fixed_policies(variant: str, config: TrainConfig):
     policy = FIXED_POLICIES.get(variant)
     return None if policy is None else [policy(config.params.d)] * config.m
 
-#: Learning preset tuned for light traffic (the base configuration).
-LOW_LOAD_PARAMS = LearningParams()
-
-#: Learning preset tuned for heavy traffic: shorter horizon, more exploration,
-#: and a tighter replica cap, which keeps congested channels sparse.
-HIGH_LOAD_PARAMS = LearningParams(epsilon=0.1, gamma=0.9, d=3)
+#: The waterfall study's heavy-traffic tuning of a learner: shorter horizon,
+#: more exploration, and a tighter replica cap, which keeps congested
+#: channels sparse.
+HIGH_LOAD_TUNING = {"epsilon": 0.1, "gamma": 0.9, "d": 3}
 
 #: Preset run of the convergence-time experiments, ``CONVERGENCE``, and its
 #: learner: a two-frame window (so one real transition generalizes across
@@ -86,7 +83,7 @@ CONVERGENCE = TrainConfig(
 
 def convergence_config(load: float, virtual: bool = False, seed: int = 0) -> TrainConfig:
     """``CONVERGENCE`` at one load, variant and seed."""
-    return replace(CONVERGENCE.with_load(load), virtual_experience=virtual, seed=seed)
+    return replace(CONVERGENCE, load=load, virtual_experience=virtual, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,7 @@ def run_sweep(
     groups = []
     for variant, load, n in product(spec.variants, spec.loads, spec.frame_sizes):
         config = replace(
-            base.with_load(load, n), virtual_experience=(variant == "dec_rl_virtual")
+            base, load=load, n_slots=n, virtual_experience=(variant == "dec_rl_virtual")
         )
         groups.append(
             ((VARIANTS.index(variant), load, n), config, fixed_policies(variant, config))
@@ -286,7 +283,7 @@ def learning_curves(
 ) -> np.ndarray:
     """Per-repetition per-episode mean-reward traces of ``base`` at ``load``."""
     _check_counts(repetitions=repetitions)
-    config = replace(base.with_load(load), virtual_experience=virtual)
+    config = replace(base, load=load, virtual_experience=virtual)
     key = (master_seed, _CURVE, int(virtual), load, 0)
     cells = [(replace(config, seed=_cell_seed(*key, rep)),) for rep in range(repetitions)]
     return np.asarray(_map(_curve, cells))
@@ -336,7 +333,7 @@ def convergence_report(
         raise ConfigurationError(f"confidence level must lie in (0, 1), got {level}")
     loads = list(loads)
     for load in loads:
-        base.with_load(load)  # a bad load raises here, before any load trains
+        replace(base, load=load)  # a bad load raises here, before any load trains
     per_ep = base.iters_per_episode
     rows = []
     for load in loads:
@@ -383,7 +380,7 @@ def compare_virtual(
     _check_counts(iters_per_episode=base.iters_per_episode)
     groups = []
     for virtual in (False, True):
-        run = replace(base.with_load(load), virtual_experience=virtual)
+        run = replace(base, load=load, virtual_experience=virtual)
         for requested in map(int, iteration_grid):
             config = replace(run, episodes=requested // base.iters_per_episode)
             groups.append(((int(virtual), load, requested), config, None))
@@ -414,17 +411,20 @@ def waterfall_suite(
     master_seed: int = 0,
     level: float = 0.975,
 ) -> list[dict]:
-    """Random strategy vs low-load-tuned vs high-load-tuned learners per load,
-    plus the per-load envelope (best scheme) and winner flags."""
+    """Random strategy vs light- and heavy-traffic learners per load, plus
+    the per-load envelope (best scheme) and winner flags. Every cell is
+    ``base`` at its load: ``dec_rl_low`` trains ``base.params``, ``dec_rl_high``
+    the same with ``HIGH_LOAD_TUNING`` applied, and ``random_strategy`` plays
+    the uniform distribution over 1..d."""
     loads = tuple(loads)
     schemes = {
-        "random_strategy": None,
-        "dec_rl_low": LOW_LOAD_PARAMS,
-        "dec_rl_high": HIGH_LOAD_PARAMS,
+        "random_strategy": base.params,
+        "dec_rl_low": base.params,
+        "dec_rl_high": replace(base.params, **HIGH_LOAD_TUNING),
     }
     groups = []
     for (si, (scheme, params)), load in product(enumerate(schemes.items()), loads):
-        config = replace(base.with_load(load), params=params or base.params)
+        config = replace(base, load=load, params=params)
         groups.append(((si, load, base.n_slots), config, fixed_policies(scheme, config)))
     summaries = _summaries(
         master_seed, (_WATERFALL_EVAL, _WATERFALL_TRAIN), groups, trials, repetitions, level

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 import hashlib
 import inspect
 import json
@@ -69,6 +70,17 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config_file(path)
 
 
+def test_cli_rejects_a_key_given_twice(tmp_path, capsys):
+    # the last value used to win: this file trained at G = 0.9 and exited 0
+    cfg = write_config(tmp_path, "load = 0.3\nepisodes = 1\nload = 0.9\n")
+    out = str(tmp_path / "x")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["kind"] == "configuration"
+    assert payload["error"].endswith(":3: key 'load' already set on line 1")
+    assert not os.path.exists(out)
+
+
 def test_parse_config_rejects_bad_syntax(tmp_path):
     path = write_config(tmp_path, "load 0.5\n")
     with pytest.raises(ConfigurationError):
@@ -85,7 +97,6 @@ def test_parse_config_rejects_bad_value(tmp_path):
 _NON_DEFAULT_VALUES = {
     "n_slots": "20",
     "load": "0.7",
-    "n_nodes": "3",
     "episodes": "7",
     "iters_per_episode": "11",
     "virtual_experience": "true",
@@ -118,6 +129,20 @@ def test_every_config_key_changes_the_built_config():
     for key, value in _NON_DEFAULT_VALUES.items():
         values = {key: value}
         assert (build_train_config(values), build_sweep_spec(values)) != defaults, key
+
+
+def test_config_keys_map_one_to_one_onto_the_leaf_fields():
+    # every field a config file can set has exactly one key, and no key
+    # names a field that is gone
+    targets = [(cls, field) for cls, field, _ in configmod.KEYS.values()]
+    leaves = [
+        (cls, f.name)
+        for cls in (TrainConfig, LearningParams, env.ArrivalModel, harness.SweepSpec)
+        for f in fields(cls)
+        if (cls, f.name) not in ((TrainConfig, "params"), (TrainConfig, "arrivals"))
+    ]
+    assert len(set(targets)) == len(targets)
+    assert set(targets) == set(leaves)
 
 
 def test_config_seed_override(tmp_path):
@@ -221,9 +246,9 @@ def test_cli_rejects_load_schedule_key(tmp_path, capsys):
 
 
 def test_cli_virtual_compare_rejects_zero_load(tmp_path, capsys):
-    # an explicit node count lets load = 0 through TrainConfig; the run
-    # must fail on it instead of silently measuring some other load
-    cfg = write_config(tmp_path, "load = 0\nn_nodes = 7\n")
+    # the run must fail on load = 0 instead of silently measuring some
+    # other load
+    cfg = write_config(tmp_path, "load = 0\n")
     out = str(tmp_path / "vc")
     assert main(["virtual-compare", "--config", cfg, "--out", out,
                  "--reps", "1", "--trials", "5"]) == 2
@@ -732,6 +757,7 @@ _FILE_KEYS = [
     ("virtual-compare", "load = 0.6", lambda call: call["load"], 0.6),
     ("virtual-compare", "seed = 9", lambda call: call["master_seed"], 9),
     ("eval", "trials = 7", lambda call: call["trials"], 7),
+    ("eval", "ci_level = 0.9", lambda call: call["level"], 0.9),
     ("baseline", "trials = 7", lambda call: call["n_frames"], 7),
 ]
 

@@ -109,7 +109,7 @@ def test_poisson_arrival_limit_matches_numpy():
 def test_config_node_count_from_load():
     assert TrainConfig(load=0.7, n_slots=10).m == 7
     assert TrainConfig(load=1.0, n_slots=10).m == 10
-    assert TrainConfig(load=0.5, n_slots=10, n_nodes=3).m == 3
+    assert TrainConfig(load=3 / 10, n_slots=10).m == 3
 
 
 def test_config_rejects_degenerate_dimensions():
@@ -125,10 +125,10 @@ def test_config_total_iterations():
 
 
 @pytest.mark.parametrize("n_slots", [0, -3])
-def test_with_load_rejects_a_frame_without_slots(n_slots):
+def test_config_rejects_a_frame_without_slots(n_slots):
     # n_slots = 0 used to be read as "keep the old frame size".
     with pytest.raises(ConfigurationError, match="n_slots"):
-        TrainConfig(n_slots=12, load=0.5).with_load(0.75, n_slots=n_slots)
+        replace(TrainConfig(n_slots=12, load=0.5), load=0.75, n_slots=n_slots)
 
 
 # --- step_frame ---------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_frame_mean_reward_is_numpy_mean_bit_for_bit():
     for m in range(1, 41):
         for B in (1, 7, 2**47):  # 40 * 2**47 < 2**53
             params = LearningParams(B=B)
-            cfg = TrainConfig(n_nodes=m, params=params)
+            cfg = TrainConfig(load=m / 10, params=params)
             nodes = make_nodes([int(b) for b in rng.integers(0, B + 1, m)], params)
             for _ in range(3):
                 sent = [n.buffer > 0 for n in nodes]
@@ -261,7 +261,7 @@ def test_step_frame_draw_count_is_fixed(arrivals):
 @pytest.mark.parametrize("stretch_rows", [None, 3])
 @pytest.mark.parametrize("used", [0, 1, 7, 8, 9, 20])
 def test_frame_plan_matches_per_frame_draws_and_rewinds(monkeypatch, arrivals, stretch_rows, used):
-    cfg = TrainConfig(n_slots=6, n_nodes=5, params=LearningParams(d=4), arrivals=arrivals)
+    cfg = TrainConfig(n_slots=6, load=5 / 6, params=LearningParams(d=4), arrivals=arrivals)
     plan_rng, frame_rng = np.random.default_rng(3), np.random.default_rng(3)
     for rng in (plan_rng, frame_rng):
         rng.integers(0, 6, size=3)  # leaves a spare 32-bit half in the generator
@@ -561,7 +561,7 @@ def test_step_frame_meets_the_exact_one_frame_law():
     # two-way greedy tie (actions 2 and 3); node 2's history is unvisited.
     params = LearningParams(epsilon=0.3, B=2, d=3)
     cfg = TrainConfig(
-        n_slots=3, n_nodes=3, params=params, arrivals=ArrivalModel("bernoulli", 0.4)
+        n_slots=3, load=3 / 3, params=params, arrivals=ArrivalModel("bernoulli", 0.4)
     )
     table = QTable(params.d)
     ones = initial_history(1, params.w)

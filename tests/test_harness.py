@@ -9,10 +9,9 @@ import pytest
 
 from irsa_rl import harness
 from irsa_rl.core import slotted_aloha_throughput
-from irsa_rl.env import ConfigurationError, TrainConfig
+from irsa_rl.env import ArrivalModel, ConfigurationError, TrainConfig
 from irsa_rl.harness import (
     CONVERGENCE,
-    HIGH_LOAD_PARAMS,
     VARIANTS,
     SweepSpec,
     compare_virtual,
@@ -408,6 +407,89 @@ def test_every_experiment_trains_inside_the_one_runner(monkeypatch):
         assert calls["outside"] == 0, experiment
 
 
+# --- every cell is the command's run ---------------------------------------------
+
+
+def _recorded_trains(monkeypatch) -> list:
+    """Every config that reaches ``harness.train``, in call order; each
+    trains for one short episode."""
+    configs, real_train = [], harness.train
+
+    def short_train(config):
+        configs.append(config)
+        return real_train(replace(config, episodes=1, iters_per_episode=2))
+
+    monkeypatch.setattr(harness, "train", short_train)
+    return configs
+
+
+# One non-default value per run and learner field a cell could drop.
+_RUN_FIELDS = {
+    "n_slots": 12,
+    "episodes": 7,
+    "iters_per_episode": 6,
+    "arrivals": ArrivalModel("poisson", 0.3),
+}
+_LEARNER_FIELDS = {
+    "epsilon": 0.2,
+    "gamma": 0.8,
+    "alpha_base": 1.5,
+    "alpha_decay": 0.8,
+    "w": 3,
+    "B": 6,
+    "d": 5,
+    "alpha_schedule": "polynomial",
+    "phi": 0.7,
+}
+
+# experiment -> (a small run of it, the fields each of its trained cells sets
+# itself, in training order); load, seed and virtual_experience are always
+# the cell's own.
+_CELL_COORDINATES = {
+    "run_sweep": (
+        lambda base: run_sweep(
+            SweepSpec(loads=(0.5,), frame_sizes=(8,), variants=("dec_rl", "dec_rl_virtual"),
+                      repetitions=1, trials=2),
+            base,
+        ),
+        [{"n_slots"}] * 2,
+    ),
+    "convergence_report": (
+        lambda base: convergence_report((0.5,), repetitions=1, bootstrap=1, base=base),
+        [set()],
+    ),
+    "compare_virtual": (
+        lambda base: compare_virtual(0.5, (12,), repetitions=1, trials=2, base=base),
+        [{"episodes"}] * 2,
+    ),
+    "waterfall_suite": (
+        lambda base: waterfall_suite((0.5,), base, repetitions=1, trials=2),
+        [set(), {"epsilon", "gamma", "d"}],  # dec_rl_low, dec_rl_high
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", _CELL_COORDINATES)
+def test_every_trained_cell_carries_the_command_run(monkeypatch, experiment):
+    # The waterfall study used to train fixed learner presets whatever the
+    # run's learner keys said.
+    run, coordinates = _CELL_COORDINATES[experiment]
+    configs, dropped = _recorded_trains(monkeypatch), []
+    for name, value in {**_RUN_FIELDS, **_LEARNER_FIELDS}.items():
+        if name in _RUN_FIELDS:
+            base = replace(BASE, **{name: value})
+        else:
+            base = replace(BASE, params=replace(BASE.params, **{name: value}))
+        configs.clear()
+        run(base)
+        assert len(configs) == len(coordinates), name
+        for i, (config, own) in enumerate(zip(configs, coordinates)):
+            got = getattr(config if name in _RUN_FIELDS else config.params, name)
+            if name not in own and got != value:
+                dropped.append((name, i, got))
+    assert dropped == []
+
+
 def _first_draw(*key) -> int:
     return int(harness._cell_rng(0, *key).integers(2**63))
 
@@ -509,10 +591,15 @@ def test_learning_curve_streams_are_pinned(virtual):
     assert hashlib.sha256(curves.tobytes()).hexdigest() == _PINNED_CURVES[virtual]
 
 
-def test_high_load_preset_caps_replicas():
-    assert HIGH_LOAD_PARAMS.d <= 4
-    assert HIGH_LOAD_PARAMS.epsilon > 0.05
-    assert HIGH_LOAD_PARAMS.gamma < 0.98
+def test_high_load_preset_caps_replicas(monkeypatch):
+    # on the learner the waterfall study trains as dec_rl_high
+    configs = _recorded_trains(monkeypatch)
+    waterfall_suite((0.5,), BASE, repetitions=1, trials=2)
+    low, high = (config.params for config in configs)
+    assert low == BASE.params
+    assert high.d <= 4
+    assert high.epsilon > 0.05
+    assert high.gamma < 0.98
 
 
 # --- reporting -------------------------------------------------------------------
