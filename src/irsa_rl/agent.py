@@ -21,7 +21,11 @@ updated history. Learning rates come from a per-``LearningParams`` list of
 A ``q_update`` takes about 1.6 us (w = 4, d = 4, best of 20 runs of 3000
 random transitions). A virtual batch of the convergence preset takes about
 4.2 us for its ~5.4 moves (best of 15 replays of one run's 19.9k batches).
-Both on a 2-core x86 host.
+``select_action`` reads a visited row with one maximum straight from the
+table and asks ``greedy_actions`` only for tie sets: about 0.58 us per call
+against 0.71 us when every call built the tie set (best of 20 replays of
+the 12.8k calls of a 1500-frame run at G = 1.0, N = 10). All on a 2-core
+x86 host.
 
 A note on the learning-rate schedule: the default geometric schedule
 alpha = min(1, 1.111 * 0.9^visits) decays too fast to satisfy the
@@ -48,7 +52,6 @@ __all__ = [
     "td_updates",
     "extract_policy",
     "initial_history",
-    "shift_history",
 ]
 
 #: A buffer-level history, oldest level first, newest last.
@@ -239,14 +242,18 @@ def select_action(
     ``u_explore < epsilon`` explores: ``u_pick`` picks uniformly over {1..d}.
     Otherwise the node plays a greedy action and ``u_pick`` breaks ties
     uniformly. The caller draws both uniforms, so how many numbers a frame
-    draws does not depend on the table.
+    draws does not depend on the table. A visited row with one maximum
+    returns it at once; tied rows and unvisited histories take the tie set
+    from ``greedy_actions``.
     """
-    d = params.d
     if u_explore < params.epsilon:
-        return int(u_pick * d) + 1
+        return int(u_pick * params.d) + 1
+    values = q._q.get(h)
+    if values is not None:
+        best = max(values)
+        if values.count(best) == 1:
+            return values.index(best) + 1
     ties = q.greedy_actions(h)
-    if len(ties) == 1:
-        return ties[0]
     return ties[int(u_pick * len(ties))]
 
 
@@ -327,8 +334,3 @@ def extract_policy(q: QTable) -> DegreeDistribution:
 def initial_history(level: int, w: int) -> History:
     """Episode-start history: the window filled with the initial buffer level."""
     return (int(level),) * w
-
-
-def shift_history(h: History, new_level: int) -> History:
-    """Drop the oldest level and append the newest."""
-    return h[1:] + (int(new_level),)

@@ -7,32 +7,39 @@ reveals that user, whose replicas are then cancelled everywhere (perfect
 interference cancellation, zero noise, and ideal side information about
 where a decoded user's replicas sit). Peeling repeats to a fixed point.
 
-There are two peeling kernels, one per call shape. ``simulate_frame`` peels
-one frame held as a user -> slot-list mapping: it builds the slot -> users
-lists once, and each pass visits only the slots that the previous pass's
-cancellations left with one user. It is the one single-frame decoder, called
-once per training frame by ``env.step_frame`` and by the tests that check
-decoding against brute-force oracles. ``_peel_words`` peels a batch of
-frames held as bit words: a frame's slot is W = ceil(users / 64) uint64
-words, and bit u % 64 of word u // 64 is set when user u has a replica
-there. A round finds the singleton slots with ``np.bitwise_count``, ORs
-their words into each frame's newly decoded users and clears those bits
-from every slot, so it costs O(frames * slots * W), not
-O(frames * users * slots). Both kernels keep the same fixed point and pass
-count. ``simulate_saturated`` packs each draw chunk's placements into words
-with one float64 matrix product and peels up to ``_CHUNK_ELEMENTS`` words at
-a time: about 13000 frames of one word in 10 slots. The batch kernel
-does not take the single-frame path, because it loses at one frame: for one
-frame of 10 users in 10 slots with ``BASELINE_IRSA`` degrees,
-``simulate_frame`` takes about 7 us and packing + ``_peel_words`` about
-45 us (best of 40 interleaved runs of 500 frames), both on a 2-core x86
-host. On a batch it wins: ``simulate_saturated`` spends about 2.0 us per
-frame of 10 users in 10 slots and 21 us per frame of 40 users in 50 slots.
-All-degree-1 frames of 1000 users in 1000 slots take 7.8 us through
-``simulate_slotted_aloha``. These are whole-call figures, degree draws and
-placement included (per-shape median op latency, in the benchmark's
-reference seconds, over ten 30 s ``saturated_eval`` runs on a 2-core x86
-host).
+There are two peeling kernels, one per call shape, and both peel over bit
+sets of users. ``simulate_frame`` peels one frame held as a user -> slots
+mapping: each user's slots become one Python int, bit s for slot s, so a
+frame of any width is one mask per user. A pass takes the singleton slots
+as ``once & ~twice`` (slots with at least one and at least two users),
+decodes every user whose mask hits one and ORs the survivors' masks into
+the next pass's ``once`` and ``twice``. It is the one single-frame decoder,
+called once per training frame by ``env.step_frame`` and by the tests that
+check decoding against brute-force oracles. A pass revisits every surviving
+user, so a frame that peels in many passes costs more than in the slot ->
+users list kernel it replaced (kept in ``tests/oracles.py``): on training
+frames of 50 nodes in 50 slots at G = 1.0, about 6 passes each, it took 36
+us per frame against 26 us, while at 10 nodes in 10 slots it took 5.4 us
+against 5.9 us. ``_peel_words`` peels a batch of frames held as bit words:
+a frame's slot is W = ceil(users / 64) uint64 words, and bit u % 64 of
+word u // 64 is set when user u has a replica there. A round finds the
+singleton slots with ``np.bitwise_count``, ORs their words into each
+frame's newly decoded users and clears those bits from every slot, so it
+costs O(frames * slots * W), not O(frames * users * slots). Both kernels
+keep the same fixed point and pass count. ``simulate_saturated`` packs each
+draw chunk's placements into words with one float64 matrix product and
+peels up to ``_CHUNK_ELEMENTS`` words at a time: about 13000 frames of one
+word in 10 slots. The batch kernel does not take the single-frame path,
+because it loses at one frame: for one frame of 10 users in 10 slots with
+``BASELINE_IRSA`` degrees, ``simulate_frame`` takes about 4.8 us and
+packing + ``_peel_words`` about 45 us (best of 40 interleaved runs of 500
+frames), both on a 2-core x86 host. On a batch it wins:
+``simulate_saturated`` spends about 2.0 us per frame of 10 users in 10
+slots and 21 us per frame of 40 users in 50 slots. All-degree-1 frames of
+1000 users in 1000 slots take 7.8 us through ``simulate_slotted_aloha``.
+These are whole-call figures, degree draws and placement included
+(per-shape median op latency, in the benchmark's reference seconds, over
+ten 30 s ``saturated_eval`` runs on a 2-core x86 host).
 
 Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
 its route before it draws: when every policy's maximum degree, capped at N,
@@ -220,41 +227,49 @@ def _peel_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_frame(bursts: dict) -> DecodeOutcome:
-    """Decode one frame: ``bursts`` maps each user to the distinct slots of
-    its replicas. The result is independent of peeling order.
+    """Decode one frame: ``bursts`` maps each user to the distinct slots
+    (integers >= 0) of its replicas. The result is independent of peeling
+    order.
 
     Each pass decodes every currently-singleton slot's user, then cancels all
     replicas of the newly decoded users. Only productive passes are counted,
-    so iterations <= number of users. The slot -> users lists are built once;
-    cancelling a user removes it from its slots' lists, and a list left with
-    one user queues that slot for the next pass, so no pass rescans the frame.
+    so iterations <= number of users. Slots are bits of Python ints: one
+    loop builds each user's mask and ORs it into ``once`` (slots with at
+    least one user) and ``twice`` (slots with at least two). A pass's
+    singleton slots are ``once & ~twice``; the users whose mask hits one are
+    decoded, and the survivors are ORed into the next pass's ``once`` and
+    ``twice`` in the same loop. This is ``_peel_words`` on one frame, with
+    no bound on the slot count.
 
     One frame carries at most one packet per user, so a user's goodput is 1
     if it is in ``decoded`` and 0 otherwise.
     """
-    members: dict = {}
+    live = []
+    once = twice = 0
     for user, slots in bursts.items():
+        mask = 0
         for s in slots:
-            if s in members:
-                members[s].append(user)
-            else:
-                members[s] = [user]
+            mask |= 1 << s
+        live.append((user, mask))
+        twice |= once & mask
+        once |= mask
 
     decoded = set()
     passes = 0
-    newly = {users[0] for users in members.values() if len(users) == 1}
-    while newly:
+    singles = once & ~twice
+    while singles:
         passes += 1
-        decoded |= newly
-        singles = []
-        for user in newly:
-            for s in bursts[user]:
-                users = members[s]
-                users.remove(user)
-                if len(users) == 1:
-                    singles.append(users)
-        # A queued slot may lose its last user later in the same pass.
-        newly = {users[0] for users in singles if users}
+        survivors = []
+        once = twice = 0
+        for user, mask in live:
+            if mask & singles:
+                decoded.add(user)
+            else:
+                survivors.append((user, mask))
+                twice |= once & mask
+                once |= mask
+        live = survivors
+        singles = once & ~twice
     return DecodeOutcome(decoded, passes)
 
 

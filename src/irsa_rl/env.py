@@ -41,9 +41,7 @@ from .agent import (
     extract_policy,
     initial_history,
     q_update,
-    reward,
     select_action,
-    shift_history,
 )
 from .core import (
     DegreeDistribution,
@@ -367,33 +365,33 @@ def step_frame(
         plan = FramePlan(config, plan, m)
     explore, pick, ranks, arrivals = plan.next_frame()
 
-    actions = {}
+    actions = []  # per node its replica count, 0 when silent
     bursts = {}
     for i, node in enumerate(nodes):
+        a = 0
         if node.buffer > 0:
             a = select_action(node.q, node.history, params, explore[i], pick[i])
-            actions[i] = a
             # The slice caps the replicas at min(a, N) distinct slots.
             bursts[i] = ranks[i][:a]
+        actions.append(a)
     decoded = simulate_frame(bursts).decoded
 
+    # Looked up per frame, so a replaced module global is still the one called.
+    update = batch_update if config.virtual_experience else q_update
     backlog = 0  # summed buffer levels of the transmitting nodes
     dropped = 0
-    virtual = config.virtual_experience
-    for i, node in enumerate(nodes):
-        raw = node.buffer - (i in decoded) + arrivals[i]
-        b_new = min(raw, cap)
-        dropped += raw - b_new
-        h_prev = node.history
-        node.buffer = b_new
-        node.history = shift_history(h_prev, b_new)
-        if i in actions:
-            r = reward(b_new)
-            backlog += b_new
-            if virtual:
-                batch_update(node.q, h_prev, actions[i], r, node.history, params)
-            else:
-                q_update(node.q, h_prev, actions[i], r, node.history, params)
+    for i, (node, a) in enumerate(zip(nodes, actions)):
+        b = node.buffer - (i in decoded) + arrivals[i]
+        if b > cap:
+            dropped += b - cap
+            b = cap
+        h = node.history
+        node.buffer = b
+        node.history = h_next = h[1:] + (b,)
+        if a:
+            backlog += b
+            # The reward is minus the new buffer level (``agent.reward``).
+            update(node.q, h, a, float(-b), h_next, params)
     return FrameResult(
         mean_reward=-backlog / m,
         throughput=len(decoded) / n_slots,

@@ -66,7 +66,7 @@ def fixed_policies(variant: str, config: TrainConfig):
 
 #: The waterfall study's heavy-traffic tuning of a learner: shorter horizon,
 #: more exploration, and a tighter replica cap, which keeps congested
-#: channels sparse.
+#: channels sparse. ``d`` is a cap: a learner with fewer actions keeps its d.
 HIGH_LOAD_TUNING = {"epsilon": 0.1, "gamma": 0.9, "d": 3}
 
 #: Preset run of the convergence-time experiments, ``CONVERGENCE``, and its
@@ -414,13 +414,15 @@ def waterfall_suite(
     """Random strategy vs light- and heavy-traffic learners per load, plus
     the per-load envelope (best scheme) and winner flags. Every cell is
     ``base`` at its load: ``dec_rl_low`` trains ``base.params``, ``dec_rl_high``
-    the same with ``HIGH_LOAD_TUNING`` applied, and ``random_strategy`` plays
-    the uniform distribution over 1..d."""
+    the same with ``HIGH_LOAD_TUNING`` applied (d capped at 3), and
+    ``random_strategy`` plays the uniform distribution over 1..d."""
     loads = tuple(loads)
     schemes = {
         "random_strategy": base.params,
         "dec_rl_low": base.params,
-        "dec_rl_high": replace(base.params, **HIGH_LOAD_TUNING),
+        "dec_rl_high": replace(
+            base.params, **{**HIGH_LOAD_TUNING, "d": min(HIGH_LOAD_TUNING["d"], base.params.d)}
+        ),
     }
     groups = []
     for (si, (scheme, params)), load in product(enumerate(schemes.items()), loads):

@@ -35,6 +35,38 @@ def stopping_set_decode(bursts: dict, n_slots: int) -> set:
     return set(users) - maximal
 
 
+def slot_list_peel(bursts: dict) -> tuple[set, int]:
+    """(decoded users, productive passes) of one frame, peeled over slot ->
+    users lists.
+
+    The package's single-frame decoder once ran this way: the lists are
+    built once, each pass decodes the users of the slots left with one user,
+    and cancelling a user removes it from its slots' lists, queueing any
+    slot left with one user for the next pass. It is kept as a differential
+    oracle for the bit-mask kernel.
+    """
+    members: dict = {}
+    for user, slots in bursts.items():
+        for s in slots:
+            members.setdefault(s, []).append(user)
+    decoded = set()
+    passes = 0
+    newly = {users[0] for users in members.values() if len(users) == 1}
+    while newly:
+        passes += 1
+        decoded |= newly
+        singles = []
+        for user in newly:
+            for s in bursts[user]:
+                users = members[s]
+                users.remove(user)
+                if len(users) == 1:
+                    singles.append(users)
+        # A queued slot may lose its last user later in the same pass.
+        newly = {users[0] for users in singles if users}
+    return decoded, passes
+
+
 def stopping_set_decode_fast(incidence: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Vectorized stopping-set oracle.
 

@@ -14,7 +14,6 @@ from irsa_rl.agent import (
     q_update,
     reward,
     select_action,
-    shift_history,
     td_updates,
 )
 
@@ -98,6 +97,54 @@ def test_select_action_tie_break_uniform_on_empty_table():
     se = math.sqrt(0.25 * 0.75 / n)
     for a in range(1, 5):
         assert abs(np.mean(draws == a) - 0.25) < 3 * se
+
+
+def _select_by_tie_set(values, d, epsilon, u_explore, u_pick):
+    """epsilon-greedy written out: explore uniformly over 1..d, else pick by
+    u_pick among every action whose q value equals the row's maximum (an
+    unvisited history reads 0.0 for every action)."""
+    if u_explore < epsilon:
+        return int(u_pick * d) + 1
+    row = [0.0] * d if values is None else values
+    ties = [a for a in range(1, d + 1) if row[a - 1] == max(row)]
+    return ties[int(u_pick * len(ties))]
+
+
+_ROWS = {
+    "lone-max": [-1.0, -0.5, -2.0, -3.0],
+    "lone-max-last": [-1.0, -0.5, -2.0, 0.0],
+    "tied": [-1.0, -0.5, -3.0, -0.5],
+    "three-way-tie": [-0.25, -1.0, -0.25, -0.25],
+    "all-equal": [-0.5, -0.5, -0.5, -0.5],
+    "unvisited": None,
+}
+
+
+@pytest.mark.parametrize("u_pick", [0.0, 0.5, math.nextafter(1.0, 0.0)], ids=["0", "half", "top"])
+@pytest.mark.parametrize("u_explore", [0.1, 0.3, 0.9], ids=["explore", "edge", "greedy"])
+@pytest.mark.parametrize("row", _ROWS.values(), ids=_ROWS)
+def test_select_action_matches_the_tie_set_definition(row, u_explore, u_pick):
+    params = LearningParams(epsilon=0.3, d=4)
+    q, h = QTable(4), (2, 1, 0, 1)
+    for a, value in enumerate(row or (), start=1):
+        q.record(h, a, value)
+    q.record((0, 0, 0, 0), 1, 1.0)  # another history's row is never read
+    got = select_action(q, h, params, u_explore, u_pick)
+    assert got == _select_by_tie_set(row, 4, params.epsilon, u_explore, u_pick)
+
+
+def test_select_action_tie_set_examples():
+    # The definition above, worked by hand for u_explore >= epsilon.
+    params = LearningParams(epsilon=0.3, d=4)
+    q, h = QTable(4), (2, 1, 0, 1)
+    top = math.nextafter(1.0, 0.0)
+    assert [select_action(q, h, params, 0.5, u) for u in (0.0, 0.5, top)] == [1, 3, 4]
+    for a, value in enumerate(_ROWS["tied"], start=1):
+        q.record(h, a, value)
+    assert [select_action(q, h, params, 0.5, u) for u in (0.0, 0.5, top)] == [2, 4, 4]
+    q.record(h, 4, -0.75)
+    assert [select_action(q, h, params, 0.5, u) for u in (0.0, 0.5, top)] == [2, 2, 2]
+    assert [select_action(q, h, params, 0.0, u) for u in (0.0, 0.5, top)] == [1, 3, 4]
 
 
 def test_select_action_range_fuzz():
@@ -413,4 +460,3 @@ def test_qtable_checkpoint_round_trip(tmp_path_factory, table):
 
 def test_history_helpers():
     assert initial_history(3, 4) == (3, 3, 3, 3)
-    assert shift_history((1, 2, 3, 4), 0) == (2, 3, 4, 0)

@@ -28,6 +28,7 @@ from oracles import (
     enumerate_frames,
     exact_mean_decoded,
     pack_users,
+    slot_list_peel,
     stable_argsort_placement,
     stopping_set_decode,
     stopping_set_decode_fast,
@@ -242,6 +243,31 @@ def test_simulate_frame_matches_oracle_and_batch_kernel(frame):
     decoded, passes = _peel_frames(incidence)
     assert {user for k, user in enumerate(users) if decoded[0, k]} == out.decoded
     assert passes[0] == out.iterations
+
+
+@st.composite
+def _wide_frames(draw):
+    """Up to 40 users in N = 1..200 slots, N = 63, 64 and 65 drawn often.
+    Each user's distinct slots come from a window of up to 12 slots at a
+    drawn offset, so frames collide and peel in several passes, also in the
+    top bits of wide frames."""
+    n_slots = draw(st.one_of(st.sampled_from((1, 63, 64, 65, 200)), st.integers(1, 200)))
+    lo = draw(st.integers(0, n_slots - 1))
+    hi = min(n_slots - 1, lo + 11)
+    users = draw(st.lists(_USER_LABELS, max_size=40, unique=True))
+    slots = st.lists(st.integers(lo, hi), min_size=1, max_size=min(8, hi - lo + 1), unique=True)
+    kinds = st.sampled_from((list, tuple, set, frozenset))
+    return {user: draw(kinds)(draw(slots)) for user in users}
+
+
+@settings(max_examples=400)
+@given(_wide_frames())
+@example({"a": [63], 7: [63, 64], "b": [0, 64]})
+@example({u: [60 + u % 4, 64 + u % 3] for u in range(12)})
+@example({0: [199], "x": [198, 199], 2: [0, 198]})
+def test_simulate_frame_matches_slot_list_oracle(bursts):
+    out = simulate_frame(bursts)
+    assert (out.decoded, out.iterations) == slot_list_peel(bursts)
 
 
 # --- frame simulation -----------------------------------------------------

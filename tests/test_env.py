@@ -495,11 +495,23 @@ _PINNED_STREAMS = [
         ),
         "15cdb09fb89c504839571071d98fc4ec8d18ce9a231b56fff7845fefa204e2d2",
     ),
+    # 65 slots: replica masks wider than one 64-bit word.
+    (
+        TrainConfig(n_slots=65, load=1.0, episodes=3, seed=16),
+        "44bd61ca7c45772e264d33cc22b17b1ee5839a6bdd0db051ddffd2a819a22f8c",
+    ),
+    # Greedy play over 8 actions: unvisited and tied rows break ties by u_pick.
+    (
+        TrainConfig(load=1.0, params=LearningParams(epsilon=0.0, d=8), episodes=6, seed=17),
+        "07b9c470f0e7e2d95fc600cd8537095af1ea2d8562668b5feba763896c812f31",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cfg,digest", _PINNED_STREAMS, ids=["plain", "virtual", "poly", "poisson", "deterministic"]
+    "cfg,digest",
+    _PINNED_STREAMS,
+    ids=["plain", "virtual", "poly", "poisson", "deterministic", "wide", "ties"],
 )
 def test_train_stream_is_pinned(cfg, digest):
     assert _train_digest(cfg) == digest

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from irsa_rl import harness
+from irsa_rl.agent import LearningParams
 from irsa_rl.core import slotted_aloha_throughput
 from irsa_rl.env import ArrivalModel, ConfigurationError, TrainConfig
 from irsa_rl.harness import (
@@ -600,6 +601,18 @@ def test_high_load_preset_caps_replicas(monkeypatch):
     assert high.d <= 4
     assert high.epsilon > 0.05
     assert high.gamma < 0.98
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_high_load_tuning_never_widens_the_action_space(monkeypatch, d):
+    # The tuning used to set d = 3 outright, so a run with max_replicas below
+    # 3 trained its heavy-traffic learner on a wider action space.
+    configs = _recorded_trains(monkeypatch)
+    base = replace(BASE, params=LearningParams(d=d))
+    waterfall_suite((0.5,), base, repetitions=1, trials=2)
+    low, high = (config.params for config in configs)
+    assert low.d == d
+    assert high.d == min(3, d)
 
 
 # --- reporting -------------------------------------------------------------------
