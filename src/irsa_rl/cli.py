@@ -149,7 +149,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, spec = _load_config(args)
-    rows = run_sweep(spec, cfg, cfg.seed, workers=args.workers)
+    rows = run_sweep(spec, cfg, workers=args.workers)
     table = [row.__dict__ for row in rows]
     emit_report({"sweep": table}, args.out)
     print(f"sweep: {len(rows)} rows -> {args.out}/sweep.csv")
@@ -158,21 +158,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg, spec = _load_config(args)
-    # The virtual pass's run is built before the plain pass trains: a window
-    # too short for virtual experience fails at once.
-    replace(cfg, virtual_experience=True)
-    rows = []
-    for virtual in (False, True):
-        rows.extend(
-            convergence_report(
-                spec.loads,
-                repetitions=spec.repetitions,
-                master_seed=cfg.seed,
-                virtual=virtual,
-                level=spec.level,
-                base=cfg,
-            )
-        )
+    # Both runs are built, so checked, before either trains.
+    runs = [replace(cfg, virtual_experience=v) for v in (False, True)]
+    rows = [row for run in runs for row in convergence_report(spec, run)]
     emit_report({"convergence": rows}, args.out)
     print(f"convergence: {len(rows)} rows -> {args.out}/convergence.csv")
     return 0
@@ -180,16 +168,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_virtual_compare(args) -> int:
     cfg, spec = _load_config(args)
-    grid = (0, 150, 300, 600, 900, 1200, 1500)
-    rows = compare_virtual(
-        load=cfg.load,
-        iteration_grid=grid,
-        repetitions=spec.repetitions,
-        trials=spec.trials,
-        master_seed=cfg.seed,
-        level=spec.level,
-        base=cfg,
-    )
+    rows = compare_virtual(spec, cfg, (0, 150, 300, 600, 900, 1200, 1500))
     best = {r["variant"]: r["actual_iters"] for r in rows if r["is_best"]}
     checks = [("virtual_best_length_not_later", best["dec_rl_virtual"] <= best["dec_rl"])]
     emit_report({"virtual_compare": rows}, args.out, checks)
@@ -202,14 +181,7 @@ def cmd_virtual_compare(args) -> int:
 
 def cmd_waterfall(args) -> int:
     cfg, spec = _load_config(args)
-    rows = waterfall_suite(
-        spec.loads,
-        cfg,
-        repetitions=spec.repetitions,
-        trials=spec.trials,
-        master_seed=cfg.seed,
-        level=spec.level,
-    )
+    rows = waterfall_suite(spec, cfg)
     emit_report({"waterfall": rows}, args.out)
     print(f"waterfall: {len(rows)} rows -> {args.out}/waterfall.csv")
     return 0

@@ -69,7 +69,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -86,7 +86,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                         f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}"
                     )
                 values[key], first_line[key] = value, lineno
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
     return values
 

@@ -1,9 +1,12 @@
 """Experiment suite: protocol sweeps, convergence timing, ablations, reports.
 
-Every experiment is deterministic under a master seed: each (experiment,
-variant, load, frame size, repetition) cell derives its own seed from the
-cell coordinates (``_cell_rng``), so results are byte-identical regardless of
-execution order or worker count, and distinct cells never share a stream.
+Every grid experiment is ``experiment(spec, base)``: its loads, repetitions,
+trials and confidence level come from the ``SweepSpec``, its run settings from
+the base ``TrainConfig``, and its master seed is that run's ``seed``. Each
+(experiment, variant, load, frame size, repetition) cell derives its own seed
+from the master seed and the cell coordinates (``_cell_rng``), so results are
+byte-identical regardless of execution order or worker count, and distinct
+cells never share a stream.
 Every experiment maps its repetitions through one runner (``_map``): sweeps,
 the training-length ablation and the waterfall study map one train -> deploy
 -> evaluate cell (``_cell``), learning curves one train-only cell
@@ -30,7 +33,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "HIGH_LOAD_TUNING",
-    "CONVERGENCE_PARAMS",
     "CONVERGENCE",
     "convergence_config",
     "run_sweep",
@@ -69,15 +71,14 @@ def fixed_policies(variant: str, config: TrainConfig):
 #: channels sparse. ``d`` is a cap: a learner with fewer actions keeps its d.
 HIGH_LOAD_TUNING = {"epsilon": 0.1, "gamma": 0.9, "d": 3}
 
-#: Preset run of the convergence-time experiments, ``CONVERGENCE``, and its
-#: learner: a two-frame window (so one real transition generalizes across
-#: every buffer level), a wide action space, and arrivals heavy enough that
-#: untrained play starts with a deep backlog transient. Runs are stretched to
-#: 3000 iterations so both learners reach a genuine plateau before the
+#: Preset run of the convergence-time experiments: a learner with a
+#: two-frame window (so one real transition generalizes across every buffer
+#: level) and a wide action space, and arrivals heavy enough that untrained
+#: play starts with a deep backlog transient. Runs are stretched to 3000
+#: iterations so both learners reach a genuine plateau before the
 #: convergence scan.
-CONVERGENCE_PARAMS = LearningParams(d=8, w=2)
 CONVERGENCE = TrainConfig(
-    params=CONVERGENCE_PARAMS, arrivals=ArrivalModel("bernoulli", 0.8), episodes=100
+    params=LearningParams(d=8, w=2), arrivals=ArrivalModel("bernoulli", 0.8), episodes=100
 )
 
 
@@ -202,38 +203,28 @@ def _check_counts(**counts) -> None:
             raise ConfigurationError(f"{name} must be >= 1, got {count}")
 
 
-def _summaries(
-    master_seed: int, tags, groups, trials: int, repetitions: int,
-    level: float = 0.975, workers: int = 1,
-) -> list[Summary]:
-    """One Student-t interval of ``_cell`` throughput per group: a group is
-    (coordinates, config, policies), its cells repetitions 0..repetitions-1
-    keyed (tag, *coordinates, rep)."""
-    _check_counts(repetitions=repetitions, trials=trials)
+def _summaries(spec: SweepSpec, seed: int, tags, groups, workers: int = 1) -> list[Summary]:
+    """One Student-t interval at ``spec.level`` of ``_cell`` throughput per
+    group: a group is (coordinates, config, policies), its cells repetitions
+    0..spec.repetitions-1 keyed (seed, tag, *coordinates, rep), each
+    evaluating ``spec.trials`` frames."""
+    reps = spec.repetitions
     cells = [
-        (master_seed, tags, (*coords, rep), config, trials, policies)
+        (seed, tags, (*coords, rep), config, spec.trials, policies)
         for coords, config, policies in groups
-        for rep in range(repetitions)
+        for rep in range(reps)
     ]
     values = _map(_cell, cells, workers)
-    return [
-        t_interval(values[i : i + repetitions], level)
-        for i in range(0, len(values), repetitions)
-    ]
+    return [t_interval(values[i : i + reps], spec.level) for i in range(0, len(values), reps)]
 
 
 def _ci_columns(s: Summary) -> dict:
     return {"mean": s.mean, "stderr": s.stderr, "ci_low": s.ci_low, "ci_high": s.ci_high}
 
 
-def run_sweep(
-    spec: SweepSpec,
-    base: TrainConfig,
-    master_seed: int = 0,
-    workers: int = 1,
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, base: TrainConfig, workers: int = 1) -> list[SweepRow]:
     """Per (variant, load, frame size): mean throughput with a Student-t CI
-    over independent repetitions. Deterministic under the master seed and
+    over independent repetitions. Deterministic under ``base.seed`` and
     invariant to the worker count."""
     groups = []
     for variant, load, n in product(spec.variants, spec.loads, spec.frame_sizes):
@@ -243,10 +234,7 @@ def run_sweep(
         groups.append(
             ((VARIANTS.index(variant), load, n), config, fixed_policies(variant, config))
         )
-    summaries = _summaries(
-        master_seed, (_SWEEP, _SWEEP_TRAIN), groups, spec.trials, spec.repetitions,
-        spec.level, workers,
-    )
+    summaries = _summaries(spec, base.seed, (_SWEEP, _SWEEP_TRAIN), groups, workers)
     return [
         SweepRow(VARIANTS[v], load, n, spec.repetitions, spec.trials, **_ci_columns(s))
         for ((v, load, n), _, _), s in zip(groups, summaries)
@@ -315,36 +303,29 @@ def _curve_convergence_iters(curves: np.ndarray, epsilon: float, iters_per_episo
 
 
 def convergence_report(
-    loads,
-    repetitions: int = 40,
-    epsilon: float = 0.5,
-    master_seed: int = 0,
-    virtual: bool = False,
-    bootstrap: int = 200,
-    level: float = 0.95,
-    base: TrainConfig = CONVERGENCE,
+    spec: SweepSpec, base: TrainConfig, epsilon: float = 0.5, bootstrap: int = 200
 ) -> list[dict]:
-    """Per-load convergence time of the averaged learning curve, with a
-    bootstrap-over-repetitions confidence interval."""
-    _check_counts(bootstrap=bootstrap, iters_per_episode=base.iters_per_episode)
+    """Per-load convergence time of the averaged learning curve of ``base``
+    (plain or with virtual experience, as ``base`` says), with a
+    bootstrap-over-repetitions confidence interval at ``spec.level``."""
+    _check_counts(
+        bootstrap=bootstrap, episodes=base.episodes, iters_per_episode=base.iters_per_episode
+    )
     if not epsilon > 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError(f"confidence level must lie in (0, 1), got {level}")
-    loads = list(loads)
-    for load in loads:
+    for load in spec.loads:
         replace(base, load=load)  # a bad load raises here, before any load trains
-    per_ep = base.iters_per_episode
+    virtual, per_ep, tail = base.virtual_experience, base.iters_per_episode, 50 * (1 - spec.level)
     rows = []
-    for load in loads:
-        curves = learning_curves(load, repetitions, master_seed, virtual, base)
+    for load in spec.loads:
+        curves = learning_curves(load, spec.repetitions, base.seed, virtual, base)
         time_iters, nonconv = _curve_convergence_iters(curves, epsilon, per_ep)
-        boot_rng = _cell_rng(master_seed, _BOOTSTRAP, int(virtual), load, 0, 0)
+        boot_rng = _cell_rng(base.seed, _BOOTSTRAP, int(virtual), load, 0, 0)
         boots = []
         for _ in range(bootstrap):
             pick = boot_rng.integers(0, curves.shape[0], curves.shape[0])
             boots.append(_curve_convergence_iters(curves[pick], epsilon, per_ep)[0])
-        lo, hi = np.percentile(boots, [50 * (1 - level), 100 - 50 * (1 - level)])
+        lo, hi = np.percentile(boots, [tail, 100 - tail])
         rows.append(
             {
                 "load": load,
@@ -354,23 +335,15 @@ def convergence_report(
                 "ci_high": float(hi),
                 "epsilon": epsilon,
                 "nonconverged": int(nonconv),
-                "repetitions": repetitions,
+                "repetitions": spec.repetitions,
             }
         )
     return rows
 
 
-def compare_virtual(
-    load: float,
-    iteration_grid,
-    repetitions: int = 10,
-    trials: int = 400,
-    master_seed: int = 0,
-    level: float = 0.975,
-    base: TrainConfig = CONVERGENCE,
-) -> list[dict]:
-    """Deployed throughput of ``base`` at ``load`` as a function of training
-    length, plain and with virtual experience; flags each variant's best length.
+def compare_virtual(spec: SweepSpec, base: TrainConfig, iteration_grid) -> list[dict]:
+    """Deployed throughput of ``base`` as a function of training length,
+    plain and with virtual experience; flags each variant's best length.
 
     Requested lengths are rounded down to whole episodes.
     """
@@ -379,14 +352,12 @@ def compare_virtual(
         raise ConfigurationError("iteration grid must be nonempty")
     _check_counts(iters_per_episode=base.iters_per_episode)
     groups = []
-    for virtual in (False, True):
-        run = replace(base, load=load, virtual_experience=virtual)
-        for requested in map(int, iteration_grid):
-            config = replace(run, episodes=requested // base.iters_per_episode)
-            groups.append(((int(virtual), load, requested), config, None))
-    summaries = _summaries(
-        master_seed, (_ABLATION_EVAL, _ABLATION_TRAIN), groups, trials, repetitions, level
-    )
+    for virtual, requested in product((False, True), map(int, iteration_grid)):
+        config = replace(
+            base, virtual_experience=virtual, episodes=requested // base.iters_per_episode
+        )
+        groups.append(((int(virtual), base.load, requested), config, None))
+    summaries = _summaries(spec, base.seed, (_ABLATION_EVAL, _ABLATION_TRAIN), groups)
     rows = [
         {
             "variant": "dec_rl_virtual" if virtual else "dec_rl",
@@ -403,20 +374,12 @@ def compare_virtual(
     return rows
 
 
-def waterfall_suite(
-    loads,
-    base: TrainConfig,
-    repetitions: int = 20,
-    trials: int = 250,
-    master_seed: int = 0,
-    level: float = 0.975,
-) -> list[dict]:
-    """Random strategy vs light- and heavy-traffic learners per load, plus
-    the per-load envelope (best scheme) and winner flags. Every cell is
-    ``base`` at its load: ``dec_rl_low`` trains ``base.params``, ``dec_rl_high``
-    the same with ``HIGH_LOAD_TUNING`` applied (d capped at 3), and
-    ``random_strategy`` plays the uniform distribution over 1..d."""
-    loads = tuple(loads)
+def waterfall_suite(spec: SweepSpec, base: TrainConfig) -> list[dict]:
+    """Random strategy vs light- and heavy-traffic learners per load of
+    ``spec``, plus the per-load envelope (best scheme) and winner flags. Every
+    cell is ``base`` at its load: ``dec_rl_low`` trains ``base.params``,
+    ``dec_rl_high`` the same with ``HIGH_LOAD_TUNING`` applied (d capped at
+    3), and ``random_strategy`` plays the uniform distribution over 1..d."""
     schemes = {
         "random_strategy": base.params,
         "dec_rl_low": base.params,
@@ -425,17 +388,15 @@ def waterfall_suite(
         ),
     }
     groups = []
-    for (si, (scheme, params)), load in product(enumerate(schemes.items()), loads):
+    for (si, (scheme, params)), load in product(enumerate(schemes.items()), spec.loads):
         config = replace(base, load=load, params=params)
         groups.append(((si, load, base.n_slots), config, fixed_policies(scheme, config)))
-    summaries = _summaries(
-        master_seed, (_WATERFALL_EVAL, _WATERFALL_TRAIN), groups, trials, repetitions, level
-    )
+    summaries = _summaries(spec, base.seed, (_WATERFALL_EVAL, _WATERFALL_TRAIN), groups)
     by_cell = {
         (list(schemes)[si], load): s for ((si, load, _), _, _), s in zip(groups, summaries)
     }
     rows = []
-    for load in loads:
+    for load in spec.loads:
         winner = max(schemes, key=lambda s: by_cell[(s, load)].mean)
         for scheme in (*schemes, "envelope"):
             rows.append(

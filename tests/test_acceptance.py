@@ -5,6 +5,7 @@ lines as they complete. Every tolerance is fixed here; nothing is calibrated
 at run time.
 """
 
+from dataclasses import replace
 import itertools
 import math
 import time
@@ -21,6 +22,7 @@ from irsa_rl.core import (
 )
 from irsa_rl.env import TrainConfig, train
 from irsa_rl.harness import (
+    CONVERGENCE,
     SweepSpec,
     convergence_report,
     epsilon_convergence_time,
@@ -173,7 +175,7 @@ def test_criterion_4_protocol_ordering():
         level=0.975,
     )
     rows = {
-        (r.variant, r.load): r for r in run_sweep(spec, TrainConfig(), master_seed=SEED)
+        (r.variant, r.load): r for r in run_sweep(spec, TrainConfig(seed=SEED))
     }
     for load in loads:
         dec = rows[("dec_rl", load)]
@@ -217,15 +219,13 @@ def test_criterion_5_light_load_convergence():
 
 def test_criterion_6_virtual_experience_speedup():
     for load in (0.6, 0.7):
+        spec = SweepSpec(loads=(load,), repetitions=40, level=0.95)
         res = {}
         for virtual in (False, True):
             res[virtual] = convergence_report(
-                (load,),
-                repetitions=40,
-                master_seed=SEED,
-                virtual=virtual,
+                spec,
+                replace(CONVERGENCE, seed=SEED, virtual_experience=virtual),
                 bootstrap=100,
-                level=0.95,
             )[0]
         vanilla, with_ve = res[False]["time_iters"], res[True]["time_iters"]
         assert with_ve <= 0.5 * vanilla, (
@@ -245,12 +245,12 @@ def test_criterion_7_waterfall():
     spec = SweepSpec(
         loads=(0.8, 1.0), variants=("vanilla_irsa",), repetitions=20, trials=250
     )
-    rows = {r.load: r for r in run_sweep(spec, TrainConfig(), master_seed=SEED + 5)}
+    rows = {r.load: r for r in run_sweep(spec, TrainConfig(seed=SEED + 5))}
     assert rows[1.0].ci_high < rows[0.8].ci_low  # waterfall onset
 
     loads = (0.3, 0.7, 0.8, 0.9, 1.0)
     table = waterfall_suite(
-        loads, TrainConfig(), repetitions=20, trials=250, master_seed=SEED + 6
+        SweepSpec(loads=loads, repetitions=20, trials=250), TrainConfig(seed=SEED + 6)
     )
     by = {(r["scheme"], r["load"]): r for r in table}
     for load in loads:

@@ -88,9 +88,11 @@ def test_experiments_call_the_wrapped_harness_names(monkeypatch):
             base,
         ),
         "virtual-compare": lambda: harness.compare_virtual(
-            0.5, (5,), repetitions=1, trials=5, base=short
+            harness.SweepSpec(repetitions=1, trials=5), short, (5,)
         ),
-        "waterfall": lambda: harness.waterfall_suite((0.5,), base, repetitions=1, trials=5),
+        "waterfall": lambda: harness.waterfall_suite(
+            harness.SweepSpec(loads=(0.5,), repetitions=1, trials=5), base
+        ),
     }
     for experiment, run in experiments.items():
         calls.clear()

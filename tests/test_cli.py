@@ -1,5 +1,5 @@
 import csv
-from dataclasses import fields
+from dataclasses import fields, replace
 import hashlib
 import inspect
 import json
@@ -16,7 +16,7 @@ from irsa_rl.cli import main
 from irsa_rl.config import build_sweep_spec, build_train_config, parse_config_file
 from irsa_rl.env import ConfigurationError, TrainConfig
 from irsa_rl.core import BASELINE_IRSA
-from irsa_rl.harness import CONVERGENCE, FIXED_POLICIES
+from irsa_rl.harness import CONVERGENCE, FIXED_POLICIES, SweepSpec
 
 
 def write_config(tmp_path, text):
@@ -263,6 +263,14 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["kind"] == "configuration"
+
+
+def test_cli_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # Undecodable bytes used to escape as a UnicodeDecodeError traceback.
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert str(path) in _config_error(capsys)["error"]
 
 
 def test_cli_baseline_small(tmp_path, capsys):
@@ -745,17 +753,17 @@ def _run_recorded(monkeypatch, tmp_path, command, argv, returns=None):
 
 # (command, config line, the recorded value it sets, that value)
 _FILE_KEYS = [
-    ("convergence", "repetitions = 3", lambda call: call["repetitions"], 3),
-    ("convergence", "ci_level = 0.9", lambda call: call["level"], 0.9),
+    ("convergence", "repetitions = 3", lambda call: call["spec"].repetitions, 3),
+    ("convergence", "ci_level = 0.9", lambda call: call["spec"].level, 0.9),
     ("convergence", "window = 3", lambda call: call["base"].params.w, 3),
-    ("convergence", "loads = 0.3, 0.5", lambda call: call["loads"], (0.3, 0.5)),
-    ("convergence", "seed = 9", lambda call: call["master_seed"], 9),
-    ("virtual-compare", "repetitions = 3", lambda call: call["repetitions"], 3),
-    ("virtual-compare", "trials = 7", lambda call: call["trials"], 7),
-    ("virtual-compare", "ci_level = 0.9", lambda call: call["level"], 0.9),
+    ("convergence", "loads = 0.3, 0.5", lambda call: call["spec"].loads, (0.3, 0.5)),
+    ("convergence", "seed = 9", lambda call: call["base"].seed, 9),
+    ("virtual-compare", "repetitions = 3", lambda call: call["spec"].repetitions, 3),
+    ("virtual-compare", "trials = 7", lambda call: call["spec"].trials, 7),
+    ("virtual-compare", "ci_level = 0.9", lambda call: call["spec"].level, 0.9),
     ("virtual-compare", "max_replicas = 5", lambda call: call["base"].params.d, 5),
-    ("virtual-compare", "load = 0.6", lambda call: call["load"], 0.6),
-    ("virtual-compare", "seed = 9", lambda call: call["master_seed"], 9),
+    ("virtual-compare", "load = 0.6", lambda call: call["base"].load, 0.6),
+    ("virtual-compare", "seed = 9", lambda call: call["base"].seed, 9),
     ("eval", "trials = 7", lambda call: call["trials"], 7),
     ("eval", "ci_level = 0.9", lambda call: call["level"], 0.9),
     ("baseline", "trials = 7", lambda call: call["n_frames"], 7),
@@ -774,30 +782,38 @@ def test_cli_config_file_reaches_the_experiment(monkeypatch, tmp_path, command, 
     assert calls and get(calls[0]) == value
 
 
-# (command, config line, flag, flag value, the recorded value both set)
+# (command, config line, flag, flag value, the recorded value both set: a
+# keyword of the call, or a field of its spec or base)
 _FLAG_OVER_FILE = [
     ("convergence", "repetitions = 3", "--reps", "2", "repetitions"),
-    ("convergence", "seed = 9", "--seed", "4", "master_seed"),
+    ("convergence", "seed = 9", "--seed", "4", "seed"),
     ("virtual-compare", "repetitions = 3", "--reps", "2", "repetitions"),
     ("virtual-compare", "trials = 7", "--trials", "5", "trials"),
-    ("virtual-compare", "seed = 9", "--seed", "4", "master_seed"),
+    ("virtual-compare", "seed = 9", "--seed", "4", "seed"),
     ("eval", "trials = 7", "--trials", "5", "trials"),
     ("baseline", "trials = 7", "--trials", "5", "n_frames"),
 ]
+
+
+def _recorded(call, name):
+    if name in call:
+        return call[name]
+    return next(getattr(call[k], name) for k in ("spec", "base") if hasattr(call[k], name))
 
 
 @pytest.mark.parametrize("command,line,flag,value,argument", _FLAG_OVER_FILE)
 def test_cli_flag_beats_config_file(monkeypatch, tmp_path, command, line, flag, value, argument):
     argv = ["--config", write_config(tmp_path, line + "\n"), flag, value]
     calls = _run_recorded(monkeypatch, tmp_path, command, argv)
-    assert calls and calls[0][argument] == int(value)
+    assert calls and _recorded(calls[0], argument) == int(value)
 
 
 def test_cli_convergence_without_file_makes_the_default_calls(monkeypatch, tmp_path):
     calls = _run_recorded(monkeypatch, tmp_path, "convergence", [], returns=lambda **_: [])
+    spec = SweepSpec(loads=(0.2, 0.4, 0.6, 0.7), repetitions=40, level=0.95)
     assert calls == [
-        dict(loads=(0.2, 0.4, 0.6, 0.7), repetitions=40, epsilon=0.5, master_seed=0,
-             virtual=virtual, bootstrap=200, level=0.95, base=CONVERGENCE)
+        dict(spec=spec, base=replace(CONVERGENCE, virtual_experience=virtual), epsilon=0.5,
+             bootstrap=200)
         for virtual in (False, True)
     ]
 
@@ -805,9 +821,10 @@ def test_cli_convergence_without_file_makes_the_default_calls(monkeypatch, tmp_p
 def test_cli_virtual_compare_without_file_makes_the_default_call(monkeypatch, tmp_path):
     calls = _run_recorded(monkeypatch, tmp_path, "virtual-compare", [])
     assert calls == [
-        dict(load=0.5, iteration_grid=(0, 150, 300, 600, 900, 1200, 1500), repetitions=10,
-             trials=400, master_seed=0, level=0.975, base=CONVERGENCE)
+        dict(spec=SweepSpec(repetitions=10, trials=400, level=0.975), base=CONVERGENCE,
+             iteration_grid=(0, 150, 300, 600, 900, 1200, 1500))
     ]
+    assert (CONVERGENCE.load, CONVERGENCE.seed) == (0.5, 0)
 
 
 def _first_draws(rng) -> list:
@@ -842,6 +859,13 @@ def test_cli_window_1_fails_before_training(monkeypatch, tmp_path, capsys, comma
     cfg = write_config(tmp_path, "window = 1\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "window" in _config_error(capsys)["error"]
+
+
+def test_cli_convergence_without_episodes_is_a_config_error(tmp_path, capsys):
+    # An empty learning curve used to escape as a ValueError traceback.
+    cfg = write_config(tmp_path, "loads = 0.5\nrepetitions = 2\nepisodes = 0\n")
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "episodes" in _config_error(capsys)["error"]
 
 
 def test_cli_flags_that_set_a_config_key_have_no_flag_default():

@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 import hashlib
+import inspect
 import math
 import os
 
@@ -92,7 +93,7 @@ def test_sweep_slotted_aloha_large_frame_matches_formula():
         repetitions=5,
         trials=200,
     )
-    rows = run_sweep(spec, BASE, master_seed=1)
+    rows = run_sweep(spec, replace(BASE, seed=1))
     assert len(rows) == 1
     assert abs(rows[0].mean - slotted_aloha_throughput(1.0)) < 0.01
 
@@ -104,7 +105,7 @@ def test_sweep_vanilla_beats_aloha_below_threshold():
         repetitions=6,
         trials=300,
     )
-    rows = {r.variant: r for r in run_sweep(spec, BASE, master_seed=2)}
+    rows = {r.variant: r for r in run_sweep(spec, replace(BASE, seed=2))}
     assert rows["vanilla_irsa"].mean > rows["slotted_aloha"].mean
 
 
@@ -112,12 +113,12 @@ def test_sweep_deterministic_and_worker_invariant():
     # every variant, so the pool runs every kind of cell: slotted ALOHA,
     # fixed policies, plain training and virtual training
     spec = SweepSpec(loads=(0.5, 0.8), variants=VARIANTS, repetitions=3, trials=50)
-    base = TrainConfig(episodes=2)
-    rows1 = run_sweep(spec, base, master_seed=3, workers=1)
-    rows2 = run_sweep(spec, base, master_seed=3, workers=1)
-    rows3 = run_sweep(spec, base, master_seed=3, workers=3)
+    base = TrainConfig(episodes=2, seed=3)
+    rows1 = run_sweep(spec, base, workers=1)
+    rows2 = run_sweep(spec, base, workers=1)
+    rows3 = run_sweep(spec, base, workers=3)
     assert rows1 == rows2 == rows3
-    rows4 = run_sweep(spec, base, master_seed=4)
+    rows4 = run_sweep(spec, replace(base, seed=4))
     assert rows4 != rows1
 
 
@@ -128,7 +129,7 @@ def test_sweep_row_count_cardinality():
         repetitions=2,
         trials=20,
     )
-    rows = run_sweep(spec, BASE, master_seed=5)
+    rows = run_sweep(spec, replace(BASE, seed=5))
     assert len(rows) == 6
 
 
@@ -136,8 +137,8 @@ def test_sweep_trains_learning_variants():
     spec = SweepSpec(
         loads=(0.5,), variants=("dec_rl",), repetitions=2, trials=50
     )
-    fast = TrainConfig(episodes=5)
-    rows = run_sweep(spec, fast, master_seed=6)
+    fast = TrainConfig(episodes=5, seed=6)
+    rows = run_sweep(spec, fast)
     assert 0.0 <= rows[0].mean <= 1.0
 
 
@@ -176,7 +177,8 @@ def test_convergence_config_shape():
 
 def test_convergence_report_smoke():
     rows = convergence_report(
-        loads=(0.6,), repetitions=4, master_seed=10, bootstrap=20
+        SweepSpec(loads=(0.6,), repetitions=4, level=0.95), replace(CONVERGENCE, seed=10),
+        bootstrap=20,
     )
     assert len(rows) == 1
     row = rows[0]
@@ -186,11 +188,8 @@ def test_convergence_report_smoke():
 
 
 def test_convergence_report_trains_with_base():
-    short_runs = replace(CONVERGENCE, episodes=4, iters_per_episode=10)
-    rows = convergence_report(
-        loads=(0.6,), repetitions=2, master_seed=10, bootstrap=5,
-        base=short_runs,
-    )
+    short_runs = replace(CONVERGENCE, episodes=4, iters_per_episode=10, seed=10)
+    rows = convergence_report(SweepSpec(loads=(0.6,), repetitions=2), short_runs, bootstrap=5)
     # four 10-iteration episodes: convergence can be no later than episode 3
     assert 0 <= rows[0]["time_iters"] <= 3 * 10
 
@@ -198,17 +197,9 @@ def test_convergence_report_trains_with_base():
 _SHORT_CONVERGENCE = replace(CONVERGENCE, episodes=3, iters_per_episode=5)
 
 
-def test_convergence_report_accepts_generator_loads():
-    kwargs = dict(repetitions=2, master_seed=10, bootstrap=5,
-                  base=_SHORT_CONVERGENCE)
-    rows = convergence_report(loads=(g for g in (0.6, 0.3)), **kwargs)
-    assert rows == convergence_report(loads=(0.6, 0.3), **kwargs)
-    assert [r["load"] for r in rows] == [0.6, 0.3]
-
-
 def test_compare_virtual_zero_grid_matches_untrained():
     rows = compare_virtual(
-        0.7, iteration_grid=(0,), repetitions=3, trials=200, master_seed=11
+        SweepSpec(repetitions=3, trials=200), replace(CONVERGENCE, load=0.7, seed=11), (0,)
     )
     means = [r["mean"] for r in rows]
     # both variants deploy the uniform policy: identical evaluation protocol,
@@ -219,13 +210,13 @@ def test_compare_virtual_zero_grid_matches_untrained():
 
 def test_compare_virtual_rejects_empty_grid():
     with pytest.raises(ConfigurationError):
-        compare_virtual(0.7, iteration_grid=(), repetitions=1, trials=10)
+        compare_virtual(SweepSpec(repetitions=1, trials=10), replace(CONVERGENCE, load=0.7), ())
 
 
 def test_compare_virtual_accepts_generator_grid():
     rows = compare_virtual(
-        0.7, iteration_grid=(n for n in (0,)), repetitions=1, trials=20,
-        master_seed=11,
+        SweepSpec(repetitions=1, trials=20), replace(CONVERGENCE, load=0.7, seed=11),
+        (n for n in (0,)),
     )
     assert [r["variant"] for r in rows] == ["dec_rl", "dec_rl_virtual"]
 
@@ -235,11 +226,7 @@ def test_compare_virtual_accepts_generator_grid():
 
 def test_waterfall_suite_envelope_is_max():
     rows = waterfall_suite(
-        loads=(0.3, 0.9),
-        base=BASE,
-        repetitions=3,
-        trials=100,
-        master_seed=12,
+        SweepSpec(loads=(0.3, 0.9), repetitions=3, trials=100), replace(BASE, seed=12)
     )
     by = {(r["scheme"], r["load"]): r for r in rows}
     for load in (0.3, 0.9):
@@ -254,32 +241,35 @@ def test_waterfall_suite_envelope_is_max():
         assert len(winners) == 1
 
 
-def test_waterfall_suite_accepts_generator_loads():
-    base = TrainConfig(episodes=1, iters_per_episode=5)
-    kwargs = dict(base=base, repetitions=2, trials=10, master_seed=12)
-    rows = waterfall_suite((g for g in (0.3,)), **kwargs)
-    assert len(rows) == 4  # three schemes + envelope
-    assert rows == waterfall_suite((0.3,), **kwargs)
-
-
 def test_sweep_spec_accepts_generators():
+    # Every experiment reads its loads from the spec, which materialises them
+    # in order: convergence_report and waterfall_suite once took a generator
+    # of loads themselves.
     spec = SweepSpec(
-        loads=(g for g in (0.5,)),
+        loads=(g for g in (0.6, 0.3)),
         frame_sizes=(n for n in (10,)),
         variants=(v for v in ("slotted_aloha",)),
         repetitions=2,
         trials=5,
     )
-    rows = run_sweep(spec, BASE, master_seed=3)
-    assert len(rows) == 1
-    assert rows == run_sweep(
-        SweepSpec(loads=(0.5,), variants=("slotted_aloha",), repetitions=2, trials=5),
-        BASE,
-        master_seed=3,
-    )
+    same = SweepSpec(loads=(0.6, 0.3), variants=("slotted_aloha",), repetitions=2, trials=5)
+    assert spec == same
+    base = TrainConfig(episodes=1, iters_per_episode=5, seed=3)
+    rows = run_sweep(spec, base)
+    assert [r.load for r in rows] == [0.6, 0.3]
+    assert rows == run_sweep(same, base)
+    rows = waterfall_suite(spec, base)
+    assert [r["load"] for r in rows] == [0.6] * 4 + [0.3] * 4  # three schemes + envelope
+    assert rows == waterfall_suite(same, base)
+    rows = convergence_report(spec, _SHORT_CONVERGENCE, bootstrap=5)
+    assert [r["load"] for r in rows] == [0.6, 0.3]
+    assert rows == convergence_report(same, _SHORT_CONVERGENCE, bootstrap=5)
 
 
 # --- one repetition runner -----------------------------------------------------
+
+
+_ONE_REP = SweepSpec(loads=(0.6,), repetitions=1, trials=5)
 
 
 def _no_training(monkeypatch):
@@ -289,16 +279,21 @@ def _no_training(monkeypatch):
     monkeypatch.setattr(harness, "train", fail)
 
 
+# An experiment takes its counts and level from a SweepSpec, and replace()
+# runs SweepSpec's checks again, so no experiment is handed a bad count.
 @pytest.mark.parametrize(
     "run,argument",
     [
-        (lambda: waterfall_suite((0.3,), BASE, repetitions=0), "repetitions"),
-        (lambda: waterfall_suite((0.3,), BASE, trials=0), "trials"),
-        (lambda: compare_virtual(0.7, (0,), repetitions=0), "repetitions"),
-        (lambda: compare_virtual(0.7, (150,), trials=0), "trials"),
-        (lambda: compare_virtual(0.7, (150,), repetitions=-1), "repetitions"),
+        (lambda: waterfall_suite(replace(_ONE_REP, repetitions=0), BASE), "repetitions"),
+        (lambda: waterfall_suite(replace(_ONE_REP, trials=0), BASE), "trials"),
+        (lambda: compare_virtual(replace(_ONE_REP, repetitions=0), CONVERGENCE, (0,)),
+         "repetitions"),
+        (lambda: compare_virtual(replace(_ONE_REP, trials=0), CONVERGENCE, (150,)), "trials"),
+        (lambda: compare_virtual(replace(_ONE_REP, repetitions=-1), CONVERGENCE, (150,)),
+         "repetitions"),
         (lambda: learning_curves(0.7, 0, 0, False), "repetitions"),
-        (lambda: convergence_report((0.6,), repetitions=0), "repetitions"),
+        (lambda: convergence_report(replace(_ONE_REP, repetitions=0), CONVERGENCE),
+         "repetitions"),
     ],
     ids=["waterfall-reps", "waterfall-trials", "compare-reps", "compare-trials",
          "compare-negative-reps", "curves-reps", "convergence-reps"],
@@ -312,39 +307,45 @@ def test_repetition_and_trial_counts_are_checked_before_training(monkeypatch, ru
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run,field",
     [
-        lambda base: compare_virtual(0.7, (150,), repetitions=1, trials=5, base=base),
-        lambda base: convergence_report((0.6,), repetitions=1, bootstrap=5, base=base),
+        (lambda base: compare_virtual(_ONE_REP, base, (150,)), "iters_per_episode"),
+        (lambda base: convergence_report(_ONE_REP, base, bootstrap=5), "iters_per_episode"),
+        (lambda base: convergence_report(_ONE_REP, base, bootstrap=5), "episodes"),
     ],
-    ids=["compare_virtual", "convergence_report"],
+    ids=["compare_virtual", "convergence_report", "convergence_report-episodes"],
 )
-def test_episodes_without_iterations_are_rejected_before_training(monkeypatch, run):
-    # A base with iters_per_episode = 0 made compare_virtual divide by zero;
-    # a config file can now set it for both experiments.
+def test_episodes_without_iterations_are_rejected_before_training(monkeypatch, run, field):
+    # A base with iters_per_episode = 0 made compare_virtual divide by zero,
+    # and one with episodes = 0 gave convergence_report an empty curve; a
+    # config file can set either.
     _no_training(monkeypatch)
-    with pytest.raises(ConfigurationError, match="iters_per_episode"):
-        run(replace(CONVERGENCE, iters_per_episode=0))
+    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1"):
+        run(replace(CONVERGENCE, **{field: 0}))
 
 
 @pytest.mark.parametrize(
-    "kwargs,argument",
+    "kwargs,fields,argument",
     [
-        (dict(bootstrap=0), "bootstrap"),
-        (dict(epsilon=0.0), "epsilon"),
-        (dict(epsilon=math.nan), "epsilon"),
-        (dict(level=1.5), "level"),
-        (dict(level=0.0), "level"),
-        (dict(level=1.0), "level"),
+        (dict(bootstrap=0), {}, "bootstrap"),
+        (dict(epsilon=0.0), {}, "epsilon"),
+        (dict(epsilon=math.nan), {}, "epsilon"),
+        ({}, dict(level=1.5), "level"),
+        ({}, dict(level=0.0), "level"),
+        ({}, dict(level=1.0), "level"),
     ],
     ids=["bootstrap-0", "epsilon-0", "epsilon-nan", "level-1.5", "level-0", "level-1"],
 )
-def test_convergence_report_checks_its_arguments_before_training(monkeypatch, kwargs, argument):
+def test_convergence_report_checks_its_arguments_before_training(
+    monkeypatch, kwargs, fields, argument
+):
     # bootstrap=0 used to raise IndexError, level=0 gave a degenerate
     # interval, and epsilon=0 or level=1.5 failed only after a load trained.
+    # The level is the spec's, checked by SweepSpec.
     _no_training(monkeypatch)
+    spec = SweepSpec(loads=(0.6, 0.3), repetitions=2)
     with pytest.raises(ConfigurationError, match=argument):
-        convergence_report((0.6, 0.3), repetitions=2, **kwargs)
+        convergence_report(replace(spec, **fields), CONVERGENCE, **kwargs)
 
 
 def test_convergence_report_checks_every_load_before_training(monkeypatch):
@@ -359,7 +360,9 @@ def test_convergence_report_checks_every_load_before_training(monkeypatch):
 
     monkeypatch.setattr(harness, "train", counting_train)
     with pytest.raises(ConfigurationError, match="zero nodes"):
-        convergence_report((0.3, 0.01), repetitions=2, bootstrap=5, base=_SHORT_CONVERGENCE)
+        convergence_report(
+            SweepSpec(loads=(0.3, 0.01), repetitions=2), _SHORT_CONVERGENCE, bootstrap=5
+        )
     assert calls["train"] == 0
 
 
@@ -393,12 +396,14 @@ def test_every_experiment_trains_inside_the_one_runner(monkeypatch):
             0.6, 2, 10, True, base=_SHORT_CONVERGENCE
         ),
         "convergence_report": lambda: convergence_report(
-            (0.6, 0.3), repetitions=2, bootstrap=5, base=_SHORT_CONVERGENCE
+            SweepSpec(loads=(0.6, 0.3), repetitions=2), _SHORT_CONVERGENCE, bootstrap=5
         ),
         "compare_virtual": lambda: compare_virtual(
-            0.7, (5, 10), repetitions=2, trials=5, base=_SHORT_CONVERGENCE
+            SweepSpec(repetitions=2, trials=5), replace(_SHORT_CONVERGENCE, load=0.7), (5, 10)
         ),
-        "waterfall_suite": lambda: waterfall_suite((0.3,), short, repetitions=2, trials=5),
+        "waterfall_suite": lambda: waterfall_suite(
+            SweepSpec(loads=(0.3,), repetitions=2, trials=5), short
+        ),
     }
     for experiment, run in experiments.items():
         calls.clear()
@@ -456,15 +461,15 @@ _CELL_COORDINATES = {
         [{"n_slots"}] * 2,
     ),
     "convergence_report": (
-        lambda base: convergence_report((0.5,), repetitions=1, bootstrap=1, base=base),
+        lambda base: convergence_report(SweepSpec(loads=(0.5,), repetitions=1), base, bootstrap=1),
         [set()],
     ),
     "compare_virtual": (
-        lambda base: compare_virtual(0.5, (12,), repetitions=1, trials=2, base=base),
+        lambda base: compare_virtual(SweepSpec(repetitions=1, trials=2), base, (12,)),
         [{"episodes"}] * 2,
     ),
     "waterfall_suite": (
-        lambda base: waterfall_suite((0.5,), base, repetitions=1, trials=2),
+        lambda base: waterfall_suite(SweepSpec(loads=(0.5,), repetitions=1, trials=2), base),
         [set(), {"epsilon", "gamma", "d"}],  # dec_rl_low, dec_rl_high
     ),
 }
@@ -491,6 +496,20 @@ def test_every_trained_cell_carries_the_command_run(monkeypatch, experiment):
     assert dropped == []
 
 
+def test_experiments_take_spec_and_base_and_nothing_they_hold():
+    # The master seed used to come in beside base.seed, compare_virtual's
+    # load beside base.load, convergence_report's variant beside
+    # base.virtual_experience, and loads, counts and level beside the spec.
+    copies = {"master_seed", "load", "loads", "virtual", "repetitions", "trials", "level"}
+    for experiment in (run_sweep, convergence_report, compare_virtual, waterfall_suite):
+        params = list(inspect.signature(experiment).parameters.values())
+        first = [(p.name, p.default) for p in params[:2]]
+        assert first == [("spec", inspect.Parameter.empty), ("base", inspect.Parameter.empty)], (
+            experiment.__name__
+        )
+        assert not {p.name for p in params} & copies, experiment.__name__
+
+
 def _first_draw(*key) -> int:
     return int(harness._cell_rng(0, *key).integers(2**63))
 
@@ -504,8 +523,7 @@ def test_cell_keys_are_collision_free():
         )
     rows = run_sweep(
         SweepSpec(loads=(0.5, 0.5004), variants=("vanilla_irsa",), repetitions=2, trials=50),
-        BASE,
-        master_seed=3,
+        replace(BASE, seed=3),
     )
     assert rows[0].mean != rows[1].mean
     # The sweep key had no tag, so a sweep cell whose load rounded to
@@ -529,14 +547,15 @@ def test_cell_key_words_outside_32_bits_are_rejected():
     # Each key word is one 32-bit SeedSequence word: master seeds 0 and 2**32
     # used to give every cell the same stream.
     spec = SweepSpec(loads=(0.5,), variants=("vanilla_irsa",), repetitions=2, trials=20)
-    for seed in (2**32, 2**33 + 7, -1):
-        with pytest.raises(ConfigurationError, match="master seed"):
-            run_sweep(spec, BASE, master_seed=seed)
+    # The master seed is the run's seed, which TrainConfig keeps nonnegative.
+    for seed, message in ((2**32, "master seed"), (2**33 + 7, "master seed"), (-1, "seed")):
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(spec, replace(BASE, seed=seed))
     for n, rep in ((2**32, 0), (-1, 0), (10, 2**32), (10, -1)):
         with pytest.raises(ConfigurationError):
             harness._cell_rng(0, harness._SWEEP, 1, 0.5, n, rep)
-    top = run_sweep(spec, BASE, master_seed=2**32 - 1)
-    assert top != run_sweep(spec, BASE, master_seed=0)
+    top = run_sweep(spec, replace(BASE, seed=2**32 - 1))
+    assert top != run_sweep(spec, BASE)
 
 
 # Digests of three small experiments: every sweep variant, the training-length
@@ -559,15 +578,14 @@ def test_experiment_streams_are_pinned():
     sweep = run_sweep(
         SweepSpec(loads=(0.5, 1.0), frame_sizes=(10, 20), variants=VARIANTS,
                   repetitions=2, trials=20),
-        short,
-        master_seed=5,
+        replace(short, seed=5),
     )
     compare = compare_virtual(
-        0.7, iteration_grid=(0, 10, 25), repetitions=2, trials=20,
-        master_seed=6, base=_SHORT_CONVERGENCE,
+        SweepSpec(repetitions=2, trials=20), replace(_SHORT_CONVERGENCE, load=0.7, seed=6),
+        (0, 10, 25),
     )
     waterfall = waterfall_suite(
-        loads=(0.3, 0.9), base=short, repetitions=2, trials=20, master_seed=7
+        SweepSpec(loads=(0.3, 0.9), repetitions=2, trials=20), replace(short, seed=7)
     )
     digests = {
         "sweep": _rows_digest(sweep),
@@ -595,7 +613,7 @@ def test_learning_curve_streams_are_pinned(virtual):
 def test_high_load_preset_caps_replicas(monkeypatch):
     # on the learner the waterfall study trains as dec_rl_high
     configs = _recorded_trains(monkeypatch)
-    waterfall_suite((0.5,), BASE, repetitions=1, trials=2)
+    waterfall_suite(SweepSpec(loads=(0.5,), repetitions=1, trials=2), BASE)
     low, high = (config.params for config in configs)
     assert low == BASE.params
     assert high.d <= 4
@@ -609,7 +627,7 @@ def test_high_load_tuning_never_widens_the_action_space(monkeypatch, d):
     # 3 trained its heavy-traffic learner on a wider action space.
     configs = _recorded_trains(monkeypatch)
     base = replace(BASE, params=LearningParams(d=d))
-    waterfall_suite((0.5,), base, repetitions=1, trials=2)
+    waterfall_suite(SweepSpec(loads=(0.5,), repetitions=1, trials=2), base)
     low, high = (config.params for config in configs)
     assert low.d == d
     assert high.d == min(3, d)
