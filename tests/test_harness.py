@@ -243,8 +243,7 @@ def test_waterfall_suite_envelope_is_max():
 
 def test_sweep_spec_accepts_generators():
     # Every experiment reads its loads from the spec, which materialises them
-    # in order: convergence_report and waterfall_suite once took a generator
-    # of loads themselves.
+    # in order.
     spec = SweepSpec(
         loads=(g for g in (0.6, 0.3)),
         frame_sizes=(n for n in (10,)),
@@ -258,12 +257,23 @@ def test_sweep_spec_accepts_generators():
     rows = run_sweep(spec, base)
     assert [r.load for r in rows] == [0.6, 0.3]
     assert rows == run_sweep(same, base)
-    rows = waterfall_suite(spec, base)
-    assert [r["load"] for r in rows] == [0.6] * 4 + [0.3] * 4  # three schemes + envelope
-    assert rows == waterfall_suite(same, base)
+
+
+def test_convergence_report_accepts_generator_loads():
+    spec = SweepSpec(loads=(g for g in (0.6, 0.3)), repetitions=2)
     rows = convergence_report(spec, _SHORT_CONVERGENCE, bootstrap=5)
+    assert rows == convergence_report(
+        SweepSpec(loads=(0.6, 0.3), repetitions=2), _SHORT_CONVERGENCE, bootstrap=5
+    )
     assert [r["load"] for r in rows] == [0.6, 0.3]
-    assert rows == convergence_report(same, _SHORT_CONVERGENCE, bootstrap=5)
+
+
+def test_waterfall_suite_accepts_generator_loads():
+    base = TrainConfig(episodes=1, iters_per_episode=5, seed=12)
+    spec = SweepSpec(loads=(g for g in (0.3,)), repetitions=2, trials=10)
+    rows = waterfall_suite(spec, base)
+    assert len(rows) == 4  # three schemes + envelope
+    assert rows == waterfall_suite(SweepSpec(loads=(0.3,), repetitions=2, trials=10), base)
 
 
 # --- one repetition runner -----------------------------------------------------
