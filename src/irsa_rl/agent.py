@@ -10,22 +10,24 @@ into a deployable degree distribution.
 row of visit counts per history, both of width d and indexed by action - 1,
 and rejects any action outside 1..d, checkpoints included.
 
-``td_updates`` is the one TD-update kernel. It applies a sequence of
-(h, h_next, r) moves for one action in order, and checks the action and
-binds the table's rows, gamma and the learning rates once per call.
-``q_update`` is its one-move call, and ``virtual.batch_update`` hands it a
-whole equivalence class's moves. A move costs one row lookup for the
-successor history (its maximum is one ``max`` over the row) and one for the
-updated history. Learning rates come from a per-``LearningParams`` list of
-``learning_rate`` values, extended on demand, instead of a call per update.
-A ``q_update`` takes about 1.6 us (w = 4, d = 4, best of 20 runs of 3000
-random transitions). A virtual batch of the convergence preset takes about
-4.2 us for its ~5.4 moves (best of 15 replays of one run's 19.9k batches).
-``select_action`` reads a visited row with one maximum straight from the
-table and asks ``greedy_actions`` only for tie sets: about 0.58 us per call
-against 0.71 us when every call built the tie set (best of 20 replays of
-the 12.8k calls of a 1500-frame run at G = 1.0, N = 10). All on a 2-core
-x86 host.
+``td_updates`` is the one TD-update kernel, and it does no lookups. It
+applies a sequence of (q_row, n_row, next_row, r) moves for one action in
+order, on row references the caller resolved, and checks the action and
+binds gamma and the learning rates once per call. ``q_update`` resolves its
+own rows, two lookups, and makes a one-move call. ``virtual.batch_update``
+resolves a class's moves once per table, keeps them on the table, and hands
+them whole to the kernel on every later batch. A move's successor maximum is
+one ``max`` over its row. Learning rates come from a per-``LearningParams``
+list of ``learning_rate`` values, extended on demand, instead of a call per
+update. A ``q_update`` takes about 1.0 us (w = 4, d = 4, best of 20 runs of
+3000 random transitions into a fresh table). A virtual batch of the
+convergence preset takes about 2.6 us for its ~5.4 moves, against 3.2 us
+when every move looked up its three rows (best of 15 replays of one run's
+19.8k batches). ``select_action`` breaks ties from the row it has already
+read, with no second lookup: about 0.57 us per call against 0.61 us when
+tied rows asked ``greedy_actions``, and 0.81 against 1.43 us on tied rows
+alone (best of 20 replays of the 12.8k calls of a 1500-frame run at G =
+1.0, N = 10, on its final tables). All on a 2-core x86 host.
 
 A note on the learning-rate schedule: the default geometric schedule
 alpha = min(1, 1.111 * 0.9^visits) decays too fast to satisfy the
@@ -117,17 +119,27 @@ class QTable:
 
     ``_q[h]`` and ``_n[h]`` hold the q values and visit counts of history h,
     action a at index a - 1. Both rows are created with d zeros on the first
-    write to h, so an absent history reads as (0.0, 0) for every action; an
+    write to h, or on its first resolution as the successor in a virtual
+    batch; an absent history reads as (0.0, 0) for every action, and an
     action outside 1..d is a ``ValueError``. Visit counts only ever increase;
     they feed the per-pair learning-rate schedule.
+
+    A row is only ever changed in place, never replaced, so a reference to
+    it stays the table's own row: ``virtual.batch_update`` keeps such
+    references in ``_moves``. A row created by a resolution waits in
+    ``_unwritten`` until the first write to h moves it into ``_q`` and
+    ``_n``. So those hold visited rows only, in first-write order, which is
+    the order ``extract_policy`` sums its weights in.
     """
 
-    __slots__ = ("d", "_q", "_n")
+    __slots__ = ("d", "_q", "_n", "_unwritten", "_moves")
 
     def __init__(self, d: int):
         self.d = d
         self._q: dict[History, list[float]] = {}
         self._n: dict[History, list[int]] = {}
+        self._unwritten: dict[History, tuple[list[float], list[int]]] = {}
+        self._moves: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         """Number of visited (history, action) pairs."""
@@ -148,12 +160,24 @@ class QTable:
         return 0 if row is None else row[a - 1]
 
     def _rows(self, h: History, a: int) -> tuple[list[float], list[int]]:
-        """The q and visit rows of h, created on first use; a must be in 1..d."""
+        """The q and visit rows of h, about to be written; a must be in 1..d."""
         self._check(a)
-        if h not in self._q:
-            self._q[h] = [0.0] * self.d
-            self._n[h] = [0] * self.d
-        return self._q[h], self._n[h]
+        q_row = self._q.get(h)
+        if q_row is not None:
+            return q_row, self._n[h]
+        rows = self._unwritten.pop(h, None) or ([0.0] * self.d, [0] * self.d)
+        self._q[h], self._n[h] = rows
+        return rows
+
+    def _read_row(self, h: History) -> list[float]:
+        """The q row of h, held in ``_unwritten`` until h is first written."""
+        row = self._q.get(h)
+        if row is not None:
+            return row
+        rows = self._unwritten.get(h)
+        if rows is None:
+            rows = self._unwritten[h] = ([0.0] * self.d, [0] * self.d)
+        return rows[0]
 
     def record(self, h: History, a: int, q_value: float) -> None:
         """Store a new q value for (h, a) and count one more visit."""
@@ -242,19 +266,24 @@ def select_action(
     ``u_explore < epsilon`` explores: ``u_pick`` picks uniformly over {1..d}.
     Otherwise the node plays a greedy action and ``u_pick`` breaks ties
     uniformly. The caller draws both uniforms, so how many numbers a frame
-    draws does not depend on the table. A visited row with one maximum
-    returns it at once; tied rows and unvisited histories take the tie set
-    from ``greedy_actions``.
+    draws does not depend on the table. Ties are broken on the row already
+    read, with no second lookup: an unvisited history ties all d actions, and
+    a row with one maximum returns it at once.
     """
     if u_explore < params.epsilon:
         return int(u_pick * params.d) + 1
     values = q._q.get(h)
-    if values is not None:
-        best = max(values)
-        if values.count(best) == 1:
-            return values.index(best) + 1
-    ties = q.greedy_actions(h)
-    return ties[int(u_pick * len(ties))]
+    if values is None:
+        return int(u_pick * q.d) + 1
+    best = max(values)
+    n = values.count(best)
+    if n == 1:
+        return values.index(best) + 1
+    # The tie set's element int(u_pick * n): that occurrence of the maximum.
+    i = values.index(best)
+    for _ in range(int(u_pick * n)):
+        i = values.index(best, i + 1)
+    return i + 1
 
 
 def reward(b_now: int) -> float:
@@ -263,27 +292,21 @@ def reward(b_now: int) -> float:
 
 
 def td_updates(q: QTable, a: int, moves, params: LearningParams) -> None:
-    """Apply the TD updates ``moves`` = ((h, h_next, r), ...) for action a, in order.
+    """Apply the TD updates ``moves`` = ((q_row, n_row, next_row, r), ...) of
+    action a to the table's rows, in order.
 
-    Each move is one ``q_update``: Q(h,a) <- (1-alpha) Q(h,a) + alpha (r +
-    gamma max_a' Q(h_next,a')), alpha from the pair's visit count before the
-    move. A later move sees the writes of the earlier ones. An action outside
-    1..d is a ``ValueError`` raised before any write.
+    Each move updates one history's q row and visit row: Q(h,a) <- (1-alpha)
+    Q(h,a) + alpha (r + gamma max_a' Q(h_next,a')), with ``next_row`` the q row
+    of h_next (``None`` reads as a maximum of 0.0) and alpha from the pair's
+    visit count before the move. A later move sees the writes of the earlier
+    ones. An action outside 1..d is a ``ValueError`` raised before any write.
     """
-    d = q.d
-    if not 0 < a <= d:
+    if not 0 < a <= q.d:
         q._check(a)  # raises
-    q_rows, n_rows, i = q._q, q._n, a - 1
+    i = a - 1
     gamma, alphas = params.gamma, params._alphas
-    for h, h_next, r in moves:
-        next_row = q_rows.get(h_next)
+    for q_row, n_row, next_row, r in moves:
         target = r + gamma * (0.0 if next_row is None else max(next_row))
-        q_row = q_rows.get(h)
-        if q_row is None:
-            q_row = q_rows[h] = [0.0] * d
-            n_row = n_rows[h] = [0] * d
-        else:
-            n_row = n_rows[h]
         visits = n_row[i]
         try:
             alpha = alphas[visits]
@@ -306,9 +329,17 @@ def q_update(
     """One tabular update: Q(h,a) <- (1-alpha) Q(h,a) + alpha (r + gamma max_a' Q(h',a')).
 
     alpha comes from the pair's visit count before this update; the count is
-    incremented afterwards.
+    incremented afterwards. Creates the row of h, and only reads that of
+    h_next, which may be absent.
     """
-    td_updates(q, a, ((h, h_next, r),), params)
+    q_rows = q._q
+    next_row = q_rows.get(h_next)
+    q_row = q_rows.get(h)
+    if q_row is None:
+        q_row, n_row = q._rows(h, a)  # checks a before creating the row
+    else:
+        n_row = q._n[h]
+    td_updates(q, a, ((q_row, n_row, next_row, r),), params)
 
 
 def extract_policy(q: QTable) -> DegreeDistribution:

@@ -233,7 +233,13 @@ def test_td_updates_applies_moves_in_order():
     q = QTable(4)
     h, g = (0, 0, 0, 1), (0, 0, 1, 1)
     q.record(g, 1, 4.0)
-    td_updates(q, 2, ((h, g, -2.0), (g, h, 6.0), (h, g, -5.0)), p)
+    h_rows, g_rows = q._rows(h, 2), q._rows(g, 2)
+    td_updates(
+        q,
+        2,
+        ((*h_rows, g_rows[0], -2.0), (*g_rows, h_rows[0], 6.0), (*h_rows, g_rows[0], -5.0)),
+        p,
+    )
     # move 2, first visit (alpha 1): Q(g,2) = 6 + 0.5 * max Q(h, .) = 6 + 0.5 * 0.0
     assert q.q(g, 2) == 6.0
     # move 1 left Q(h,2) = -2 + 0.5 * 4 = 0; move 3 blends in -5 + 0.5 * 6

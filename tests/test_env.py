@@ -505,13 +505,25 @@ _PINNED_STREAMS = [
         TrainConfig(load=1.0, params=LearningParams(epsilon=0.0, d=8), episodes=6, seed=17),
         "07b9c470f0e7e2d95fc600cd8537095af1ea2d8562668b5feba763896c812f31",
     ),
+    # Virtual experience at B = 1: successors often leave [0, B] and many
+    # classes have one member.
+    (
+        TrainConfig(
+            load=1.0,
+            params=LearningParams(B=1, w=3, d=2),
+            virtual_experience=True,
+            episodes=6,
+            seed=18,
+        ),
+        "d8ec9f7b4eb5ab2442ac70c0bd217a8a7cd4b9973d1d21a7de8418d2acf8716d",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "cfg,digest",
     _PINNED_STREAMS,
-    ids=["plain", "virtual", "poly", "poisson", "deterministic", "wide", "ties"],
+    ids=["plain", "virtual", "poly", "poisson", "deterministic", "wide", "ties", "virtual-B1"],
 )
 def test_train_stream_is_pinned(cfg, digest):
     assert _train_digest(cfg) == digest

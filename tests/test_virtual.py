@@ -218,21 +218,135 @@ def test_class_members_share_one_move_tuple():
     # Every member of a class holds the same moves for a successor difference;
     # one copy per visited member grew the cache with B.
     B, w, c_next = 200, 2, 1
+    params = _params(B=B, w=w)
     members = enumerate_class((1,), B, w)
-    first = virtual._moves(members[0], c_next, B, w)
+    q = QTable(params.d)
+    batch_update(q, members[1], 1, -1.0, (members[1][-1], members[1][-1] - c_next), params)
+    first = q._moves[members[1], c_next, B, w]
     assert len(first) == B - 1  # member (1, 0) would drain below 0
-    for member in (members[1], members[-1]):
-        assert virtual._moves(member, c_next, B, w) is first
+    for member in (members[2], members[-1]):
+        assert q._moves[member, c_next, B, w] is first
+    assert len(q._moves) == B - 1
 
 
 def test_move_cache_hit_does_not_transform(monkeypatch):
     params = _params(B=9, w=3)
     h, h_next = (7, 5, 6), (5, 6, 4)
-    batch_update(QTable(params.d), h, 1, -4.0, h_next, params)
+    q = QTable(params.d)
+    batch_update(q, h, 1, -4.0, h_next, params)
     calls = []
     monkeypatch.setattr(virtual, "transform", lambda h: calls.append(h) or transform(h))
-    batch_update(QTable(params.d), h, 1, -4.0, h_next, params)
+    batch_update(q, h, 1, -4.0, h_next, params)
     assert calls == []
+
+
+# --- the per-table cache of resolved moves ------------------------------------
+
+
+def _transitions(rng, params, count):
+    """(h, a, h_next) of ``count`` random feasible transitions."""
+    out = []
+    for _ in range(count):
+        h = tuple(int(x) for x in rng.integers(0, params.B + 1, params.w))
+        succ = int(rng.integers(0, params.B + 1))
+        out.append((h, int(rng.integers(1, params.d + 1)), h[1:] + (succ,)))
+    return out
+
+
+def _feed(q, transitions, params):
+    for h, a, h_next in transitions:
+        batch_update(q, h, a, float(-h_next[-1]), h_next, params)
+
+
+def _exact(q):
+    return [(h, a, v.hex(), n) for h, a, v, n in sorted(q.items())]
+
+
+def test_move_cache_is_per_table():
+    # Interleaved batches on two tables end where separate feeds and the
+    # sequential oracle end: no table writes through another's rows.
+    params = _params(B=4, w=3, d=3)
+    rng = np.random.default_rng(31)
+    feeds = _transitions(rng, params, 400), _transitions(rng, params, 400)
+    interleaved = QTable(params.d), QTable(params.d)
+    for pair in zip(*feeds):
+        for q, transition in zip(interleaved, pair):
+            _feed(q, (transition,), params)
+    for feed, q_mixed in zip(feeds, interleaved):
+        alone, oracle = QTable(params.d), QTable(params.d)
+        _feed(alone, feed, params)
+        for h, a, h_next in feed:
+            sequential_oracle(oracle, h, a, h_next, params)
+        assert _exact(q_mixed) == _exact(alone) == _exact(oracle)
+        # Rows enter the table at their first write, as in the oracle:
+        # extract_policy sums its weights in this order.
+        assert list(q_mixed._q) == list(alone._q) == list(oracle._q)
+
+
+def test_move_cache_is_keyed_by_capacity():
+    # One table, one history and successor difference, first under B = 3 and
+    # then under B = 5: the second batch updates the members (4, 4), (5, 5).
+    h, h_next = (2, 2), (2, 2)
+    q, oracle = QTable(4), QTable(4)
+    for B in (3, 5):
+        params = _params(B=B, w=2)
+        batch_update(q, h, 1, -2.0, h_next, params)
+        sequential_oracle(oracle, h, 1, h_next, params)
+        assert _exact(q) == _exact(oracle)
+    assert q.visits((5, 5), 1) == 1 and q.visits((2, 2), 1) == 2
+
+
+def test_cached_moves_hold_the_tables_own_rows():
+    from irsa_rl.env import TrainConfig, train
+
+    cfg = TrainConfig(
+        load=0.8, params=_params(B=4, w=3, d=3), virtual_experience=True, episodes=6, seed=32
+    )
+    nodes, _ = train(cfg)
+    for q in (node.q for node in nodes):
+        assert q._moves
+        for (h, c_next, B, w), moves in q._moves.items():
+            expected = virtual._class_moves(transform(h), c_next, B, w)
+            assert len(moves) == len(expected)
+            for (q_row, n_row, next_row, r), (member, member_next, reward) in zip(
+                moves, expected
+            ):
+                assert q_row is q._q[member] and n_row is q._n[member]
+                own = q._q.get(member_next) or q._unwritten[member_next][0]
+                assert next_row is own and r == reward
+
+
+def test_reload_starts_with_an_empty_move_cache():
+    params = _params(B=4, w=3, d=3)
+    rng = np.random.default_rng(33)
+    first, then = _transitions(rng, params, 300), _transitions(rng, params, 300)
+    q = QTable(params.d)
+    _feed(q, first, params)
+    back = QTable.from_lines(q.to_lines(), params.d)
+    assert back._moves == {} and back._unwritten == {}
+    _feed(q, then, params)
+    _feed(back, then, params)
+    assert back.to_lines() == q.to_lines()
+
+
+def test_trained_virtual_tables_show_no_unvisited_row():
+    # Rows held only for reading (as successors) stay out of every output.
+    # extract_policy sums its weights in the table's row order, which a
+    # reload sorts, so its coefficients are compared to rounding.
+    from irsa_rl.agent import extract_policy
+    from irsa_rl.env import TrainConfig, train
+
+    cfg = TrainConfig(
+        load=1.0, params=_params(B=1, w=3, d=2), virtual_experience=True, episodes=6, seed=34
+    )
+    nodes, _ = train(cfg)
+    assert any(node.q._unwritten for node in nodes)
+    for q in (node.q for node in nodes):
+        back = QTable.from_lines(q.to_lines(), q.d)
+        assert q.history_visits() == back.history_visits()
+        assert len(q) == len(back)
+        assert q.to_lines() == back.to_lines()
+        assert extract_policy(q).coeffs == pytest.approx(extract_policy(back).coeffs, rel=1e-12)
 
 
 @settings(max_examples=150)
