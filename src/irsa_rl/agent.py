@@ -39,6 +39,7 @@ phi in (0.5, 1]) when the guarantee matters more than the tuned schedule.
 
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
 from .core import DegreeDistribution
 
@@ -349,13 +350,17 @@ def extract_policy(q: QTable) -> DegreeDistribution:
     action's coefficient (split evenly across ties), then the weights are
     normalized. Frequently visited states therefore dominate the deployed
     distribution. Invariant under any positive rescaling of the q values.
+    Each coefficient is the exactly rounded sum of its shares (``math.fsum``),
+    so it does not depend on the table's row order: a table reloaded from its
+    checkpoint deploys what the trained table deploys.
     """
-    weights = [0.0] * q.d
+    shares = [[] for _ in range(q.d)]
     for h, visits in q.history_visits().items():
         ties = q.greedy_actions(h)
         share = visits / len(ties)
         for a in ties:
-            weights[a - 1] += share
+            shares[a - 1].append(share)
+    weights = [math.fsum(s) for s in shares]
     total = sum(weights)
     if total <= 0:
         raise NoExperienceError("q-table has no visited state-action pairs")

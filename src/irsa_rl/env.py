@@ -491,10 +491,15 @@ def evaluate(
     sequence of distributions (``deployed_policies`` turns trained Q-tables
     into one). Every trial is one saturated frame: every node is backlogged
     and draws its replica count from its distribution. ``level`` is the
-    two-sided confidence level of the returned interval.
+    two-sided confidence level of the returned interval, checked before any
+    draw. The interval's bounds are computed, and scipy loaded, only when
+    ``ci_low`` or ``ci_high`` is first read: a caller that reads only
+    ``mean``, ``stderr`` and ``n`` loads no scipy.
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError("confidence level must lie in (0, 1)")
     if isinstance(policy, DegreeDistribution):
         policy = [policy] * config.m
     else:

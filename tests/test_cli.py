@@ -178,6 +178,28 @@ def test_cli_train_then_eval(tmp_path, capsys):
     assert "throughput" in printed
 
 
+def test_cli_eval_of_train_checkpoints_is_the_in_process_deployment(monkeypatch, tmp_path):
+    cfg_path = write_config(tmp_path, "load = 1.0\nepisodes = 20\nseed = 3\n")
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", out]) == 0
+    nodes, _ = env.train(build_train_config(parse_config_file(cfg_path)))
+    calls = _run_recorded(monkeypatch, tmp_path, "eval",
+                          ["--config", cfg_path, "--qtables", out, "--trials", "20"],
+                          returns=env.evaluate)
+    assert calls and calls[0]["policy"] == env.deployed_policies([n.q for n in nodes])
+
+
+# The stdout of one fixed-policy run: the bounds are computed on first read,
+# and that must not change a byte of it.
+def test_cli_eval_stdout_is_pinned(tmp_path, capsys):
+    cfg = write_config(tmp_path, "load = 0.5\n")
+    assert main(["eval", "--config", cfg, "--variant", "vanilla_irsa",
+                 "--seed", "5", "--trials", "300"]) == 0
+    assert capsys.readouterr().out == (
+        "throughput 0.4547 +- 0.0075 [0.4379, 0.4715] at 97.5% (300 trials)\n"
+    )
+
+
 def test_cli_eval_named_variant(tmp_path, capsys):
     cfg = write_config(tmp_path, "load = 0.5\n")
     assert main(["eval", "--config", cfg, "--variant", "vanilla_irsa",

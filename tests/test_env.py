@@ -9,7 +9,7 @@ import pytest
 from scipy import stats as sps
 
 from irsa_rl import env
-from irsa_rl.agent import LearningParams, QTable, initial_history
+from irsa_rl.agent import LearningParams, QTable, extract_policy, initial_history
 from irsa_rl.core import BASELINE_IRSA, PURE_ALOHA, simulate_frame, simulate_saturated
 from irsa_rl.env import (
     ArrivalModel,
@@ -697,6 +697,28 @@ def test_evaluate_rejects_bad_policy_shapes():
         evaluate(BASELINE_IRSA, cfg, trials=0, rng=rng)
     with pytest.raises(ConfigurationError):  # trained nodes, not distributions
         evaluate(make_nodes([1] * cfg.m, cfg.params), cfg, trials=10, rng=rng)
+
+
+@pytest.mark.parametrize("level", (0.0, 1.0, 1.5))
+def test_evaluate_checks_its_level_before_it_draws(monkeypatch, level):
+    calls = []
+    monkeypatch.setattr(env, "simulate_saturated", lambda *args: calls.append(args))
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="confidence level"):
+        evaluate(BASELINE_IRSA, TrainConfig(load=1.0), 200000, rng, level=level)
+    assert calls == []
+    assert rng.bit_generator.state == state
+
+
+# A trained table keeps its rows in first-write order, a reloaded one in
+# sorted order; the deployed shares must not depend on which.
+@pytest.mark.parametrize("seed", range(6))
+def test_a_reloaded_checkpoint_deploys_what_its_trained_table_deploys(seed):
+    nodes, _ = train(TrainConfig(load=1.0, episodes=20, seed=seed))
+    for node in nodes:
+        q = node.q
+        assert extract_policy(QTable.from_lines(q.to_lines(), q.d)) == extract_policy(q)
 
 
 def test_untrained_agents_deploy_uniform_policy():

@@ -1,10 +1,10 @@
 """Student-t intervals: exactness, input contract and start-up cost.
 
-``stats.t_interval`` takes its quantile from ``scipy.special.stdtrit`` and
-imports it on first use, so importing the package and running ``train`` load
-no scipy submodule. These tests check that the quantile equals
-``scipy.stats.t.ppf`` bit for bit, that inputs are consumed once or
-rejected, and that no package module imports scipy when it loads.
+A ``stats.Summary`` takes its quantile from ``scipy.special.stdtrit`` and
+imports it on the first read of a bound, so importing the package, running
+``train`` and reading an evaluation's mean load no scipy submodule. These
+tests check that the quantile equals ``scipy.stats.t.ppf`` bit for bit, that
+inputs are consumed once or rejected, and when scipy loads.
 """
 
 import ast
@@ -52,7 +52,9 @@ def test_half_width_equals_scipy_stats_t_ppf_bit_for_bit():
 
 
 def test_single_sample_has_an_infinite_interval():
-    assert t_interval([2.5]) == Summary(2.5, np.inf, -np.inf, np.inf, 0.975, 1)
+    s = t_interval([2.5])
+    assert s == Summary(2.5, np.inf, 0.975, 1)
+    assert s.ci_low == -np.inf and s.ci_high == np.inf
 
 
 @pytest.mark.parametrize("level", (0.0, 1.0, -0.5, 1.5))
@@ -72,7 +74,9 @@ SAMPLES = [0.3, 0.1, 0.4, 0.1, 0.5, 0.9, 0.2]
     ids=("iter", "generator", "map"),
 )
 def test_iterator_is_consumed_once_like_its_list(make):
-    assert t_interval(make(SAMPLES), 0.9) == t_interval(SAMPLES, 0.9)
+    once, listed = t_interval(make(SAMPLES), 0.9), t_interval(SAMPLES, 0.9)
+    assert once == listed
+    assert (once.ci_low, once.ci_high) == (listed.ci_low, listed.ci_high)
 
 
 def test_exhausted_iterator_has_no_samples():
@@ -134,18 +138,24 @@ def test_no_package_module_imports_scipy_when_it_loads():
 _START_PATH = """
 import json, sys
 sys.path.insert(0, {src!r})
+import numpy as np
 from irsa_rl import cli
-from irsa_rl.stats import t_interval
+from irsa_rl.core import BASELINE_IRSA
+from irsa_rl.env import TrainConfig, evaluate
 
 def loaded(prefix):
     return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
 
 code = cli.main(["train", "--config", {cfg!r}, "--out", {out!r}])
-after_train = loaded("scipy.stats") + loaded("scipy.special")
-t_interval([1.0, 2.0, 3.0])
+after_train = loaded("scipy")
+s = evaluate(BASELINE_IRSA, TrainConfig(load=0.5), 50, np.random.default_rng(1))
+s.mean, s.stderr, s.n
+after_mean = loaded("scipy")
+s.ci_low
 print(json.dumps({{
     "code": code,
     "after_train": after_train,
+    "after_mean": after_mean,
     "special": bool(loaded("scipy.special")),
     "stats": loaded("scipy.stats"),
 }}))
@@ -166,5 +176,6 @@ def test_train_loads_no_scipy_and_an_interval_loads_only_special(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["after_train"] == []
+    assert result["after_mean"] == []
     assert result["special"]
     assert result["stats"] == []

@@ -331,8 +331,6 @@ def test_reload_starts_with_an_empty_move_cache():
 
 def test_trained_virtual_tables_show_no_unvisited_row():
     # Rows held only for reading (as successors) stay out of every output.
-    # extract_policy sums its weights in the table's row order, which a
-    # reload sorts, so its coefficients are compared to rounding.
     from irsa_rl.agent import extract_policy
     from irsa_rl.env import TrainConfig, train
 
@@ -346,7 +344,7 @@ def test_trained_virtual_tables_show_no_unvisited_row():
         assert q.history_visits() == back.history_visits()
         assert len(q) == len(back)
         assert q.to_lines() == back.to_lines()
-        assert extract_policy(q).coeffs == pytest.approx(extract_policy(back).coeffs, rel=1e-12)
+        assert extract_policy(q) == extract_policy(back)
 
 
 @settings(max_examples=150)
