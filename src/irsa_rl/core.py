@@ -28,18 +28,18 @@ frame's newly decoded users and clears those bits from every slot, so it
 costs O(frames * slots * W), not O(frames * users * slots). Both kernels
 keep the same fixed point and pass count. ``simulate_saturated`` packs each
 draw chunk's placements into words with one float64 matrix product and
-peels up to ``_CHUNK_ELEMENTS`` words at a time: about 13000 frames of one
+peels up to ``_CHUNK_ELEMENTS`` words at a time: about 6500 frames of one
 word in 10 slots. The batch kernel does not take the single-frame path,
 because it loses at one frame: for one frame of 10 users in 10 slots with
 ``BASELINE_IRSA`` degrees, ``simulate_frame`` takes about 4.8 us and
 packing + ``_peel_words`` about 45 us (best of 40 interleaved runs of 500
 frames), both on a 2-core x86 host. On a batch it wins:
-``simulate_saturated`` spends about 2.0 us per frame of 10 users in 10
-slots and 21 us per frame of 40 users in 50 slots. All-degree-1 frames of
-1000 users in 1000 slots take 7.8 us through ``simulate_slotted_aloha``.
+``simulate_saturated`` spends about 1.6 us per frame of 10 users in 10
+slots and 14 us per frame of 40 users in 50 slots. All-degree-1 frames of
+1000 users in 1000 slots take 8.0 us through ``simulate_slotted_aloha``.
 These are whole-call figures, degree draws and placement included
 (per-shape median op latency, in the benchmark's reference seconds, over
-ten 30 s ``saturated_eval`` runs on a 2-core x86 host).
+ten 15 s ``saturated_eval`` runs on a 2-core x86 host).
 
 Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
 its route before it draws: when every policy's maximum degree, capped at N,
@@ -48,16 +48,21 @@ is 1 (``PURE_ALOHA``, or a one-slot frame), it returns
 user's n_frames degrees with one ``sample_degrees`` call, in user order, and
 caps them at N.
 
-The two hot paths place replicas from rows of N iid uniforms. The argsort
-of such a row is a uniform random permutation of the slots, and its first
-l entries are a uniform l-subset: ``env.step_frame`` ranks one row per node
-of its per-frame draw block and hands the prefixes to ``simulate_frame``.
-``simulate_saturated`` needs the subset but not its order, so
-``_place_rows`` sorts each row, takes its l-th smallest uniform as a
-threshold and keeps the slots at or below it: the same l slots, with a tie
-across the threshold going to the lower slot. Both saturated runners work
-in chunks of ``_CHUNK_ELEMENTS`` draws. ``place_replicas`` places one test
-user's replicas at a time.
+The two hot paths place replicas in different ways. ``env.step_frame``
+ranks one row of N iid uniforms per node of its per-frame draw block: the
+argsort of such a row is a uniform random permutation of the slots, and its
+first l entries, handed to ``simulate_frame``, are a uniform l-subset.
+``simulate_saturated`` needs the subset but not its order, so it draws
+with Floyd's algorithm instead (``_floyd_sampler``): min(l, N - l)
+uniforms per (frame, user) row, in row order, each turned into a bounded
+draw t = floor(u * (j + 1)) on 0..j. A row with l > N / 2 draws the N - l
+slots it leaves out, so a degree-8 user in 10 slots takes 2 uniforms, not
+10. The 53-bit uniforms make each value of a bounded draw off its exact
+probability 1 / (j + 1) by at most 2**-53. The rows' slot masks unpack to
+the incidence that one float64 matrix product packs into words. Both
+saturated runners work in chunks of ``_CHUNK_ELEMENTS`` (frame, user, slot)
+entries or (frame, user) draws. ``place_replicas`` places one test user's
+replicas at a time.
 
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
@@ -86,13 +91,16 @@ __all__ = [
 
 _PROB_TOL = 1e-9
 
-#: Elements per chunk of the saturated runners: (frame, user, slot) uniforms
-#: and, per peel batch, (slot, word, frame) occupancy words in
+#: Elements per chunk of the saturated runners: (frame, user, slot) incidence
+#: entries and, per peel batch, (slot, word, frame) occupancy words in
 #: ``simulate_saturated``; (frame, user) slot draws in
-#: ``simulate_slotted_aloha``. At 8 bytes each a chunk's draws fill 1 MiB,
-#: half of a 2 MiB per-core L2 cache; on the benchmark's shapes it ran
-#: faster than chunks of 2e5 or 4e6 elements.
-_CHUNK_ELEMENTS = 1 << 17
+#: ``simulate_slotted_aloha``. At 8 bytes each a chunk's float64 incidence
+#: fills 512 KiB. Of 2**14 ... 2**17 elements, this size gave the
+#: benchmark's saturated shapes their best rate at the lowest peak memory:
+#: 2**14 and 2**15 run the placement steps over too few rows per numpy call
+#: at 40 users in 50 slots, and 2**17 ran about 5% more frames per second
+#: for about 1.5 MB more peak RSS.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -174,23 +182,79 @@ def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[
     return frozenset(int(s) for s in rng.choice(n_slots, size=l, replace=False))
 
 
-def _place_rows(uniforms: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Bool incidence that keeps, in each row of ``uniforms`` (last axis =
-    slots), the l smallest entries, l from the matching entry of ``degrees``.
+def _floyd_sampler(rows: int, n_slots: int):
+    """A placement function for up to ``rows`` (frame, user) rows at a time,
+    with its per-step arrays in buffers made once here.
 
-    These are the slots of the first l entries of the row's argsort, a
-    uniform l-subset when the row is iid uniform. A row keeps every entry at
-    or below its l-th smallest value; equal values across that threshold
-    (about N**2 * 2**-54 per row for 53-bit uniforms) would keep more than
-    l, so those rows are redone by stable rank, the lower slot first.
+    ``sample(degrees, rng)`` returns a view of one row of little-endian
+    uint64 slot masks per degree, ceil(n_slots / 64) words each, bit s % 64
+    of word s // 64 for slot s: for each degree l, a uniform l-subset of the
+    slots, by Floyd's algorithm (Bentley and Floyd, "Programming pearls: a
+    sample of brilliance", CACM 1987). A row takes k = min(l, N - l)
+    uniforms, in row order: for j = N - k ... N - 1 it draws
+    t = floor(u * (j + 1)) from the next uniform u and takes j if t is
+    already taken, t otherwise. When l > N - l the k-subset is the
+    complement of the row's subset, so its mask is flipped.
+
+    The steps run over every row of a chunk at once, right-aligned: with K
+    the chunk's largest k, step i has j = N - K + i for every row, and a row
+    joins at step K - k. Before that its bit is shifted out and the uniform
+    it reads is never used. A shift by 64 or more gives 0 in numpy, so a
+    frame wider than 64 slots takes the same steps, one word at a time.
     """
-    threshold = np.take_along_axis(np.sort(uniforms, axis=-1), degrees[..., None] - 1, axis=-1)
-    incidence = uniforms <= threshold
-    if np.count_nonzero(incidence) != degrees.sum():
-        tied = incidence.sum(axis=-1) > degrees
-        ranks = np.argsort(np.argsort(uniforms[tied], axis=-1, kind="stable"), axis=-1)
-        incidence[tied] = ranks < degrees[tied][:, None]
-    return incidence
+    n_words = -(-n_slots // 64)
+    full = np.full(n_words, ~np.uint64(0), dtype="<u8")
+    full[-1] >>= np.uint64(64 * n_words - n_slots)
+    # A chunk's uniforms follow a zero pad of max_steps entries, so a row that
+    # has not joined yet reads the pad or another row's uniforms, never an
+    # unset value.
+    max_steps = n_slots // 2
+    uniforms = np.zeros(max_steps + rows * max_steps)
+    masks = np.empty((rows, n_words), dtype="<u8")
+    steps, ends = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+    scaled = np.empty(rows)
+    picks, hits, bits, joined = (np.empty(rows, dtype=np.uint64) for _ in range(4))
+
+    def sample(degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        n = degrees.size
+        mask, k, end, u = masks[:n], steps[:n], ends[:n], scaled[:n]
+        t, hit, bit, live = picks[:n], hits[:n], bits[:n], joined[:n]
+        np.subtract(n_slots, degrees, out=k)
+        np.minimum(k, degrees, out=k)
+        n_steps = int(k.max())
+        np.cumsum(k, out=end)
+        rng.random(out=uniforms[max_steps : max_steps + int(end[-1])])
+        mask.fill(0)
+        for i in range(n_steps):
+            j = n_slots - n_steps + i
+            # Row r's uniform at step i >= K - k is its (i - K + k)-th one.
+            # Every index is in range; "clip" is numpy's fastest take.
+            np.take(uniforms[max_steps - n_steps + i :], end, out=u, mode="clip")
+            u *= j + 1
+            np.copyto(t.view(np.int64), u, casting="unsafe")
+            np.right_shift(mask[:, 0], t, out=hit)
+            for w in range(1, n_words):
+                np.subtract(t, np.uint64(64 * w), out=bit)
+                np.right_shift(mask[:, w], bit, out=bit)
+                hit |= bit
+            hit &= np.uint64(1)
+            # On a hit take j instead of t: t += (j - t) * hit.
+            np.subtract(np.uint64(j), t, out=bit)
+            bit *= hit
+            t += bit
+            np.greater_equal(k, n_steps - i, out=live)
+            for w in range(n_words):
+                if w:
+                    t -= np.uint64(64)
+                np.left_shift(live, t, out=bit)
+                mask[:, w] |= bit
+        np.less(k, degrees, out=live)
+        for w in range(n_words):
+            np.multiply(live, full[w], out=bit)
+            mask[:, w] ^= bit
+        return mask
+
+    return sample
 
 
 def _peel_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,19 +420,27 @@ def simulate_saturated(
     chunk = max(1, min(n_frames, _CHUNK_ELEMENTS // (n_users * n_slots)))
     # A peel batch is a whole number of draw chunks, up to _CHUNK_ELEMENTS words.
     batch = chunk * max(1, _CHUNK_ELEMENTS // (chunk * n_slots * n_words))
-    # Every chunk draws into one buffer: a fresh 1 MiB array per chunk had the
+    # Every chunk works in these buffers: fresh chunk-sized arrays had the
     # allocator hand its heap back and page-fault it in again on most chunks.
-    uniforms = np.empty((chunk, n_users, n_slots))
+    sample = _floyd_sampler(chunk * n_users, n_slots)
+    incidence = np.empty((chunk, n_users, n_slots))
+    halves = np.empty((chunk, 2 * n_words, n_slots))
+    halves_int = np.empty(halves.shape, dtype=np.uint64)
     words = np.empty((n_slots, n_words, min(batch, n_frames)), dtype=np.uint64)
     counts = np.empty(n_frames, dtype=np.int64)
     for start in range(0, n_frames, batch):
         stop = min(start + batch, n_frames)
         for done in range(start, stop, chunk):
             f = min(chunk, stop - done)
-            incidence = _place_rows(rng.random(out=uniforms[:f]), degrees[done : done + f])
-            halves = (weights @ incidence).astype(np.uint64)  # (f, 2W, slots)
-            packed = halves[:, 0::2] | halves[:, 1::2] << 32
-            words[:, :, done - start : done - start + f] = packed.transpose(2, 1, 0)
+            masks = sample(degrees[done : done + f].reshape(-1), rng)
+            bits = np.unpackbits(masks.view(np.uint8), axis=1, count=n_slots, bitorder="little")
+            np.copyto(incidence[:f].reshape(f * n_users, n_slots), bits)
+            np.matmul(weights, incidence[:f], out=halves[:f])  # (f, 2W, slots)
+            h = halves_int[:f]
+            np.copyto(h, halves[:f], casting="unsafe")
+            h[:, 1::2] <<= np.uint64(32)
+            packed = words[:, :, done - start : done - start + f].transpose(2, 1, 0)
+            np.bitwise_or(h[:, 0::2], h[:, 1::2], out=packed)
         decoded, _ = _peel_words(words[:, :, : stop - start])
         counts[start:stop] = np.bitwise_count(decoded).sum(axis=0)
     return counts

@@ -95,6 +95,19 @@ def stable_argsort_placement(uniforms: np.ndarray, degrees: np.ndarray) -> np.nd
     return incidence
 
 
+def floyd_placement(l: int, n_slots: int, draws) -> frozenset:
+    """The slots of one replica row by Floyd's algorithm, one uniform from
+    the iterator ``draws`` per step: for j = N - k ... N - 1, k = min(l, N - l),
+    t = floor(u * (j + 1)), and j joins the subset when t is already in it.
+    A k-subset stands for its complement when l > N - l."""
+    k = min(l, n_slots - l)
+    chosen = set()
+    for j in range(n_slots - k, n_slots):
+        t = int(next(draws) * (j + 1))
+        chosen.add(j if t in chosen else t)
+    return frozenset(range(n_slots)) - chosen if l > k else frozenset(chosen)
+
+
 def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Peeling fixed point over a (frames, users, slots) bool incidence tensor.
 

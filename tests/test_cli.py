@@ -196,7 +196,7 @@ def test_cli_eval_stdout_is_pinned(tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--variant", "vanilla_irsa",
                  "--seed", "5", "--trials", "300"]) == 0
     assert capsys.readouterr().out == (
-        "throughput 0.4547 +- 0.0075 [0.4379, 0.4715] at 97.5% (300 trials)\n"
+        "throughput 0.4553 +- 0.0072 [0.4391, 0.4715] at 97.5% (300 trials)\n"
     )
 
 
@@ -674,20 +674,21 @@ def test_cli_seed_beyond_32_bits_is_config_error(tmp_path, capsys, command):
 
 
 # sha256 of the CSV each small run writes, computed on the stream of one
-# fixed draw block per training frame and the float64-bit cell keys.
+# fixed draw block per training frame, the float64-bit cell keys and Floyd's
+# placement of saturated evaluation frames.
 _PINNED_RUNS = {
     "sweep": (
         "sweep.csv",
         "loads = 0.3, 0.6\nepisodes = 2\nrepetitions = 5\ntrials = 500\n"
         "variants = slotted_aloha, vanilla_irsa, dec_rl, dec_rl_virtual, random_strategy\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "e8b4e4d74dc25f75f6a6f3f0cf4aecf6743adc76d9a7ba48c14ff909d8d69a9d",
+        "512e3fadec1734298173a394a2f8552c3cf88ce1095484505293c835881bf39c",
     ),
     "waterfall": (
         "waterfall.csv",
         "loads = 0.3, 0.6\nepisodes = 2\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "dea7ab011ac730d39a7c6829420c02c6b5670db4ccddcb9e8b7289b4c73c3a02",
+        "7498887ebbad2e1744abfbf012d3800d8224e8d742e4f7358a02d4f978ddb164",
     ),
     "train": (
         "trace.csv",
@@ -711,7 +712,7 @@ _PINNED_RUNS = {
         "virtual_compare.csv",
         "load = 0.6\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "95aa6c985bf0ca4ec266a00e3035f2a554a12fabe9b7a742a283265d23848262",
+        "f0a1a5f5ff8a8f24f407a40a93831bb63b9eba515f49dfd5d481c15eae03fa4f",
     ),
 }
 

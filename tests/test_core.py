@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from irsa_rl.core import (
     BASELINE_IRSA,
@@ -15,8 +16,8 @@ from irsa_rl.core import (
     slotted_aloha_throughput,
     uniform_distribution,
     _CHUNK_ELEMENTS,
+    _floyd_sampler,
     _peel_words,
-    _place_rows,
 )
 
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +28,7 @@ from oracles import (
     all_orders_decode,
     enumerate_frames,
     exact_mean_decoded,
+    floyd_placement,
     pack_users,
     slot_list_peel,
     stable_argsort_placement,
@@ -341,9 +343,10 @@ def test_peel_frames_matches_sic_decode_on_every_frame(n_users, n_slots):
 
 
 def _replay_saturated(policies, n_slots, n_frames, seed):
-    """simulate_saturated's draws, redrawn in the same order, with every frame
-    placed by argsort and decoded by simulate_frame. Chunking does not change
-    the uniform stream, so the slot orders are drawn in one call. Returns the
+    """simulate_saturated's draws, redrawn in the same order, with every row
+    placed by the scalar Floyd oracle and every frame decoded by
+    simulate_frame. Each row takes min(l, N - l) uniforms and chunking does
+    not change the uniform stream, so they are drawn in one call. Returns the
     counts and the generator after the draws."""
     rng = np.random.default_rng(seed)
     n_users = len(policies)
@@ -351,11 +354,12 @@ def _replay_saturated(policies, n_slots, n_frames, seed):
     for u, dist in enumerate(policies):
         degrees[:, u] = sample_degrees(dist, n_frames, rng)
     np.minimum(degrees, n_slots, out=degrees)
-    order = np.argsort(rng.random((n_frames, n_users, n_slots)), axis=2)
+    draws = iter(rng.random(int(np.minimum(degrees, n_slots - degrees).sum())).tolist())
     counts = np.empty(n_frames, dtype=np.int64)
     for i in range(n_frames):
-        bursts = {u: order[i, u, : degrees[i, u]].tolist() for u in range(n_users)}
+        bursts = {u: floyd_placement(int(degrees[i, u]), n_slots, draws) for u in range(n_users)}
         counts[i] = len(simulate_frame(bursts).decoded)
+    assert next(draws, None) is None
     return counts, rng
 
 
@@ -441,41 +445,67 @@ def test_simulate_slotted_aloha_replays_one_draw(m, n_slots, n_frames):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_place_rows_tie_across_threshold_keeps_lower_slots():
-    uniforms = np.array(
-        [
-            [[0.5, 0.25, 0.5, 0.5, 0.75], [0.5, 0.5, 0.5, 0.5, 0.5]],
-            [[0.75, 0.5, 0.25, 0.5, 0.9], [0.1, 0.2, 0.3, 0.4, 0.5]],
-        ]
-    )
-    degrees = np.array([[2, 3], [3, 4]])
-    expected = np.array(
-        [
-            [[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]],  # ties straddle the threshold
-            [[0, 1, 1, 1, 0], [1, 1, 1, 1, 0]],  # a tie below it; no tie
-        ],
-        dtype=bool,
-    )
-    before = uniforms.copy()
-    assert np.array_equal(_place_rows(uniforms, degrees), expected)
-    assert np.array_equal(uniforms, before)
+def _slot_sets(masks, n_slots):
+    """The slot set of each row of (rows, words) slot masks, and every set
+    bit at or above n_slots as one count."""
+    bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
+    rows = [frozenset(np.flatnonzero(row[:n_slots]).tolist()) for row in bits]
+    return rows, int(bits[:, n_slots:].sum())
 
 
-@st.composite
-def _tied_rows(draw):
-    """(uniforms, degrees): up to 3 frames of 4 users in up to 8 slots, the
-    uniforms drawn from four values so that most rows hold ties."""
-    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 8)))
-    uniforms = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from((0.0, 0.25, 0.5, 0.75))))
-    degrees = draw(hnp.arrays(np.int64, shape[:2], elements=st.integers(1, shape[2])))
-    return uniforms, degrees
+@pytest.mark.parametrize(
+    "n_slots,l",
+    [(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (6, 6), (5, 2), (5, 3)],
+    ids=["l1", "l2", "half", "l4-complement", "l5-complement", "full", "odd-l2",
+         "odd-l3-complement"],
+)
+def test_floyd_sampler_is_uniform_over_subsets(n_slots, l):
+    # Every row's mask is an l-subset of the slots, and each of the C(N, l)
+    # subsets turns up about equally often. l > N / 2 draws the complement.
+    rows = 6000
+    sample = _floyd_sampler(rows, n_slots)
+    rng = np.random.default_rng(31)
+    seen = {}
+    for _ in range(3):
+        sets, above = _slot_sets(sample(np.full(rows, l, dtype=np.int64), rng), n_slots)
+        assert above == 0
+        for key in sets:
+            assert len(key) == l
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == math.comb(n_slots, l)
+    if len(seen) > 1:
+        assert sps.chisquare(list(seen.values())).pvalue > 1e-3
 
 
-@settings(max_examples=300)
-@given(_tied_rows())
-def test_place_rows_matches_stable_argsort_scatter(rows):
-    uniforms, degrees = rows
-    assert np.array_equal(_place_rows(uniforms, degrees), stable_argsort_placement(uniforms, degrees))
+def test_floyd_sampler_mixed_degrees_match_the_scalar_oracle():
+    # One call over rows of every degree 1..N, shuffled, so that rows join
+    # the right-aligned steps at different points: each row is the scalar
+    # oracle's subset from the same uniforms, and the call draws exactly those.
+    n_slots = 9
+    degrees = np.random.default_rng(32).permutation(np.repeat(np.arange(1, n_slots + 1), 40))
+    rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
+    sets, above = _slot_sets(_floyd_sampler(degrees.size, n_slots)(degrees, rng), n_slots)
+    draws = iter(ref_rng.random(int(np.minimum(degrees, n_slots - degrees).sum())).tolist())
+    assert above == 0
+    assert sets == [floyd_placement(int(l), n_slots, draws) for l in degrees]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_slots", [65, 130, 200])
+def test_floyd_sampler_wide_frames_place_distinct_slots_below_n(n_slots):
+    # Frames wider than 64 slots take several mask words: every row holds
+    # exactly l distinct slots below N, and every slot turns up about equally
+    # often, across word boundaries too (chi-square on the slot counts).
+    rows = 4000
+    rng = np.random.default_rng(34)
+    degrees = rng.choice([1, 2, 3, 8, n_slots // 2, n_slots - 3, n_slots], size=rows)
+    sets, above = _slot_sets(_floyd_sampler(rows, n_slots)(degrees, rng), n_slots)
+    assert above == 0
+    assert [len(key) for key in sets] == degrees.tolist()
+    hits = np.zeros(n_slots)
+    for key in sets:
+        hits[list(key)] += 1
+    assert sps.chisquare(hits).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("m,n_slots", [(3, 4), (4, 4), (3, 5), (3, 2)])
@@ -516,7 +546,7 @@ def _random_frames(draw):
     n_frames = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     degrees = rng.integers(1, min(3, n_slots) + 1, size=(n_frames, n_users))
-    return _place_rows(rng.random((n_frames, n_users, n_slots)), degrees)
+    return stable_argsort_placement(rng.random((n_frames, n_users, n_slots)), degrees)
 
 
 def _chain_frame(chain, n_users):

@@ -573,9 +573,9 @@ def test_cell_key_words_outside_32_bits_are_rejected():
 # draw or the train -> deploy -> evaluate arithmetic moves them; a refactor of
 # the experiment plumbing must leave them alone.
 _PINNED_EXPERIMENTS = {
-    "sweep": "4cb7566224d1cac92a53071faa6184f490315b3da3c9f6f42ad2b8943b3fe747",
-    "compare_virtual": "54acd1e9e6b4c5468ec95d333c364932ee8fcedf8d0131626bc46d55e93fce5b",
-    "waterfall": "dc011320928a09f431b217d0839fe9531b4682c6a26ffbe360e34b67dcbcab1e",
+    "sweep": "e849aab1897f98a880d9074417ffe75e60f110505ab5d60a29896c1f1093940c",
+    "compare_virtual": "99942494853844ee5f0507d388d1d534fbba8ce2d82a00b99da1ba0f0cfe3a1b",
+    "waterfall": "f48a40d8440439d3b5fda5b9b2bf1425c58f0015f606a38074ad7b062feb2aaa",
 }
 
 
