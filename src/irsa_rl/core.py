@@ -7,39 +7,23 @@ reveals that user, whose replicas are then cancelled everywhere (perfect
 interference cancellation, zero noise, and ideal side information about
 where a decoded user's replicas sit). Peeling repeats to a fixed point.
 
-There are two peeling kernels, one per call shape, and both peel over bit
-sets of users. ``simulate_frame`` peels one frame held as a user -> slots
-mapping: each user's slots become one Python int, bit s for slot s, so a
-frame of any width is one mask per user. A pass takes the singleton slots
-as ``once & ~twice`` (slots with at least one and at least two users),
-decodes every user whose mask hits one and ORs the survivors' masks into
-the next pass's ``once`` and ``twice``. It is the one single-frame decoder,
-called once per training frame by ``env.step_frame`` and by the tests that
-check decoding against brute-force oracles. A pass revisits every surviving
-user, so a frame that peels in many passes costs more than in the slot ->
-users list kernel it replaced (kept in ``tests/oracles.py``): on training
-frames of 50 nodes in 50 slots at G = 1.0, about 6 passes each, it took 36
-us per frame against 26 us, while at 10 nodes in 10 slots it took 5.4 us
-against 5.9 us. ``_peel_words`` peels a batch of frames held as bit words:
-a frame's slot is W = ceil(users / 64) uint64 words, and bit u % 64 of
-word u // 64 is set when user u has a replica there. A round finds the
-singleton slots with ``np.bitwise_count``, ORs their words into each
-frame's newly decoded users and clears those bits from every slot, so it
-costs O(frames * slots * W), not O(frames * users * slots). Both kernels
-keep the same fixed point and pass count. ``simulate_saturated`` packs each
-draw chunk's placements into words with one float64 matrix product and
-peels up to ``_CHUNK_ELEMENTS`` words at a time: about 6500 frames of one
-word in 10 slots. The batch kernel does not take the single-frame path,
-because it loses at one frame: for one frame of 10 users in 10 slots with
-``BASELINE_IRSA`` degrees, ``simulate_frame`` takes about 4.8 us and
-packing + ``_peel_words`` about 45 us (best of 40 interleaved runs of 500
-frames), both on a 2-core x86 host. On a batch it wins:
-``simulate_saturated`` spends about 1.6 us per frame of 10 users in 10
-slots and 14 us per frame of 40 users in 50 slots. All-degree-1 frames of
-1000 users in 1000 slots take 8.0 us through ``simulate_slotted_aloha``.
-These are whole-call figures, degree draws and placement included
-(per-shape median op latency, in the benchmark's reference seconds, over
-ten 15 s ``saturated_eval`` runs on a 2-core x86 host).
+There is one peeling formulation, over bit sets of slots. A user's
+replicas are one slot mask, bit s for slot s. A pass ORs the users' masks
+into ``once`` (slots with at least one user) and ``twice`` (slots with at
+least two), takes the singleton slots as ``once & ~twice``, decodes every
+user whose mask hits one and drops that user's mask; passes repeat while a
+singleton slot is left. ``simulate_frame`` runs it in Python ints on one
+frame of any width: ``env.step_frame`` calls it once per training frame, and
+the tests check it against brute-force oracles. A pass revisits every
+surviving user, so a frame that peels in many passes costs more than in the
+slot -> users list kernel it replaced (kept in ``tests/oracles.py``): on
+training frames of 50 nodes in 50 slots at G = 1.0, about 6 passes each, it
+took 36 us per frame against 26 us, while at 10 nodes in 10 slots it took
+5.4 us against 5.9 us. ``_peel_masks`` runs the same pass in uint64 arrays
+on a batch of frames held as (users, W, frames) masks, W = ceil(N / 64)
+words per mask: ``once`` and ``twice`` come from a pairwise OR tree over
+the users, and each round works only on the frames that still have a
+singleton slot. Both count the same decoded users and productive passes.
 
 Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
 its route before it draws: when every policy's maximum degree, capped at N,
@@ -58,11 +42,9 @@ uniforms per (frame, user) row, in row order, each turned into a bounded
 draw t = floor(u * (j + 1)) on 0..j. A row with l > N / 2 draws the N - l
 slots it leaves out, so a degree-8 user in 10 slots takes 2 uniforms, not
 10. The 53-bit uniforms make each value of a bounded draw off its exact
-probability 1 / (j + 1) by at most 2**-53. The rows' slot masks unpack to
-the incidence that one float64 matrix product packs into words. Both
-saturated runners work in chunks of ``_CHUNK_ELEMENTS`` (frame, user, slot)
-entries or (frame, user) draws. ``place_replicas`` places one test user's
-replicas at a time.
+probability 1 / (j + 1) by at most 2**-53. A chunk's (frame, user) rows of
+slot masks go to ``_peel_masks`` as they are, viewed as (users, W, frames).
+``place_replicas`` places one test user's replicas at a time.
 
 All randomness flows through an explicit numpy Generator, so every function
 here is pure given its rng argument.
@@ -91,15 +73,14 @@ __all__ = [
 
 _PROB_TOL = 1e-9
 
-#: Elements per chunk of the saturated runners: (frame, user, slot) incidence
-#: entries and, per peel batch, (slot, word, frame) occupancy words in
-#: ``simulate_saturated``; (frame, user) slot draws in
-#: ``simulate_slotted_aloha``. At 8 bytes each a chunk's float64 incidence
-#: fills 512 KiB. Of 2**14 ... 2**17 elements, this size gave the
-#: benchmark's saturated shapes their best rate at the lowest peak memory:
-#: 2**14 and 2**15 run the placement steps over too few rows per numpy call
-#: at 40 users in 50 slots, and 2**17 ran about 5% more frames per second
-#: for about 1.5 MB more peak RSS.
+#: Elements per chunk of the saturated runners: (frame, user) slot draws in
+#: ``simulate_slotted_aloha``, uint64 slot-mask words in
+#: ``simulate_saturated``. Besides its mask words, a (frame, user) row of
+#: ``simulate_saturated`` takes about a dozen 8-byte entries of sampler and
+#: peeling buffers, so its chunk also holds at most ``_CHUNK_ELEMENTS // 4``
+#: rows: 2**16 rows per chunk read about 2 MB more peak RSS on the benchmark's
+#: ``saturated_eval`` than 2**14, for a gain in frames per second that its
+#: runs could not resolve.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -182,9 +163,10 @@ def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[
     return frozenset(int(s) for s in rng.choice(n_slots, size=l, replace=False))
 
 
-def _floyd_sampler(rows: int, n_slots: int):
+def _floyd_sampler(rows: int, n_slots: int, max_degree: int):
     """A placement function for up to ``rows`` (frame, user) rows at a time,
-    with its per-step arrays in buffers made once here.
+    of degrees up to ``max_degree``, with its per-step arrays in buffers
+    made once here.
 
     ``sample(degrees, rng)`` returns a view of one row of little-endian
     uint64 slot masks per degree, ceil(n_slots / 64) words each, bit s % 64
@@ -205,10 +187,10 @@ def _floyd_sampler(rows: int, n_slots: int):
     n_words = -(-n_slots // 64)
     full = np.full(n_words, ~np.uint64(0), dtype="<u8")
     full[-1] >>= np.uint64(64 * n_words - n_slots)
-    # A chunk's uniforms follow a zero pad of max_steps entries, so a row that
-    # has not joined yet reads the pad or another row's uniforms, never an
-    # unset value.
-    max_steps = n_slots // 2
+    # A row takes at most max_steps uniforms. A chunk's uniforms follow a
+    # zero pad of max_steps entries, so a row that has not joined yet reads
+    # the pad or another row's uniforms, never an unset value.
+    max_steps = min(max_degree, n_slots // 2)
     uniforms = np.zeros(max_steps + rows * max_steps)
     masks = np.empty((rows, n_words), dtype="<u8")
     steps, ends = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
@@ -257,36 +239,57 @@ def _floyd_sampler(rows: int, n_slots: int):
     return sample
 
 
-def _peel_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Peeling fixed point over (slots, W, frames) uint64 occupancy words.
+def _once_twice(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots that at least one and at least two of the (users, W, frames)
+    masks hold, as (W, frames) words, from a pairwise OR tree over users."""
+    once, twice = masks, None
+    while len(once) > 1:
+        half = len(once) // 2
+        low, high = once[:half], once[half : 2 * half]
+        both = low & high
+        if twice is not None:
+            both |= twice[:half]
+            both |= twice[half : 2 * half]
+        merged = low | high
+        if len(once) % 2:  # the odd last row joins the first pair
+            both[0] |= merged[0] & once[-1]
+            merged[0] |= once[-1]
+            if twice is not None:
+                both[0] |= twice[-1]
+        once, twice = merged, both
+    return once[0], np.zeros_like(once[0]) if twice is None else twice[0]
 
-    Bit u % 64 of word u // 64 of a slot is set when user u has a replica
-    there. Every round marks the singleton slots (one set bit over the
-    slot's words), ORs their words into each frame's newly decoded users and
-    clears those users from every slot: exactly one ``simulate_frame`` pass
-    per frame. Returns the (W, frames) decoded words and the (frames,) count
-    of productive passes; rounds continue only on frames that made progress.
-    ``words`` is left as it was.
+
+def _peel_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peeling fixed point over (users, W, frames) uint64 slot masks.
+
+    Bit s % 64 of word s // 64 of a user's mask is set when the user has a
+    replica in slot s. Every round is one ``simulate_frame`` pass on every
+    frame at once: ``once`` and ``twice`` come from the users' masks, and
+    the users whose mask hits ``once & ~twice`` are decoded and their masks
+    cleared. Returns the (frames,) decoded counts and productive passes;
+    rounds continue only on frames that still have a singleton slot.
+    ``masks`` is left as it was.
     """
-    n_slots, n_words, n_frames = words.shape
-    decoded = np.zeros((n_words, n_frames), dtype=np.uint64)
+    n_users, n_words, n_frames = masks.shape
+    decoded = np.zeros(n_frames, dtype=np.int64)
     passes = np.zeros(n_frames, dtype=np.int64)
     live = np.arange(n_frames)
-    work = words.copy()
-    while live.size:
-        bits = np.bitwise_count(work)
-        load = bits[:, 0] if n_words == 1 else bits.sum(axis=1)
-        # On the 2-D (slots, W * live) view a round runs several times faster
-        # than on the 3-D array with a size-1 middle axis.
-        flat = work.reshape(n_slots, n_words * live.size)
-        newly = np.bitwise_or.reduce(flat * np.tile(load == 1, n_words), axis=0)
-        newly = newly.reshape(n_words, live.size)
-        progress = newly.any(axis=0)
+    work = masks.copy()
+    while live.size and n_users:
+        once, twice = _once_twice(work)
+        singles = once & ~twice
+        progress = singles.any(axis=0)
         if not progress.all():
-            live, work, newly = live[progress], work[:, :, progress], newly[:, progress]
+            # Boolean indexing on the last axis would give a frames-major
+            # copy, and every later round would run on strided rows.
+            live, singles = live[progress], singles[:, progress]
+            work = work.compress(progress, axis=2)
+        # Where-masked writes run several times slower than a multiply.
+        keep = ((work & singles) == 0).all(axis=1, keepdims=True)
+        work *= keep
         passes[live] += 1
-        decoded[:, live] |= newly
-        work &= ~newly
+        decoded[live] += n_users - keep.sum(axis=(0, 1))
     return decoded, passes
 
 
@@ -302,8 +305,9 @@ def simulate_frame(bursts: dict) -> DecodeOutcome:
     least one user) and ``twice`` (slots with at least two). A pass's
     singleton slots are ``once & ~twice``; the users whose mask hits one are
     decoded, and the survivors are ORed into the next pass's ``once`` and
-    ``twice`` in the same loop. This is ``_peel_words`` on one frame, with
-    no bound on the slot count.
+    ``twice`` in the same loop. ``_peel_masks`` runs the same pass on a
+    batch of frames in uint64 arrays; here a mask has no bound on the slot
+    count.
 
     One frame carries at most one packet per user, so a user's goodput is 1
     if it is in ``decoded`` and 0 otherwise.
@@ -403,44 +407,21 @@ def simulate_saturated(
     n_users = len(policies)
     if n_users == 0:
         return np.zeros(n_frames, dtype=np.int64)
-    if min(max(dist.d for dist in policies), n_slots) == 1:
+    max_degree = min(max(dist.d for dist in policies), n_slots)
+    if max_degree == 1:
         return simulate_slotted_aloha(n_users, n_slots, n_frames, rng)
 
     degrees = np.stack([sample_degrees(dist, n_frames, rng) for dist in policies], axis=1)
     np.minimum(degrees, n_slots, out=degrees)
 
-    # Row u // 32 of the weights holds 2**(u % 32) for user u, so one matrix
-    # product sums each 32-user half of a word into a float64 below 2**32,
-    # exactly, and the halves join into the users' uint64 words.
-    n_words = -(-n_users // 64)
-    user = np.arange(n_users)
-    weights = np.zeros((2 * n_words, n_users))
-    weights[user // 32, user] = np.ldexp(1.0, user % 32)
-
-    chunk = max(1, min(n_frames, _CHUNK_ELEMENTS // (n_users * n_slots)))
-    # A peel batch is a whole number of draw chunks, up to _CHUNK_ELEMENTS words.
-    batch = chunk * max(1, _CHUNK_ELEMENTS // (chunk * n_slots * n_words))
-    # Every chunk works in these buffers: fresh chunk-sized arrays had the
-    # allocator hand its heap back and page-fault it in again on most chunks.
-    sample = _floyd_sampler(chunk * n_users, n_slots)
-    incidence = np.empty((chunk, n_users, n_slots))
-    halves = np.empty((chunk, 2 * n_words, n_slots))
-    halves_int = np.empty(halves.shape, dtype=np.uint64)
-    words = np.empty((n_slots, n_words, min(batch, n_frames)), dtype=np.uint64)
+    # A chunk holds at most _CHUNK_ELEMENTS // 4 rows and _CHUNK_ELEMENTS words.
+    n_words = -(-n_slots // 64)
+    chunk = max(1, min(n_frames, _CHUNK_ELEMENTS // (n_users * max(4, n_words))))
+    sample = _floyd_sampler(chunk * n_users, n_slots, max_degree)
     counts = np.empty(n_frames, dtype=np.int64)
-    for start in range(0, n_frames, batch):
-        stop = min(start + batch, n_frames)
-        for done in range(start, stop, chunk):
-            f = min(chunk, stop - done)
-            masks = sample(degrees[done : done + f].reshape(-1), rng)
-            bits = np.unpackbits(masks.view(np.uint8), axis=1, count=n_slots, bitorder="little")
-            np.copyto(incidence[:f].reshape(f * n_users, n_slots), bits)
-            np.matmul(weights, incidence[:f], out=halves[:f])  # (f, 2W, slots)
-            h = halves_int[:f]
-            np.copyto(h, halves[:f], casting="unsafe")
-            h[:, 1::2] <<= np.uint64(32)
-            packed = words[:, :, done - start : done - start + f].transpose(2, 1, 0)
-            np.bitwise_or(h[:, 0::2], h[:, 1::2], out=packed)
-        decoded, _ = _peel_words(words[:, :, : stop - start])
-        counts[start:stop] = np.bitwise_count(decoded).sum(axis=0)
+    for done in range(0, n_frames, chunk):
+        f = min(chunk, n_frames - done)
+        masks = sample(degrees[done : done + f].reshape(-1), rng)
+        frames = masks.reshape(f, n_users, n_words).transpose(1, 2, 0)
+        counts[done : done + f], _ = _peel_masks(frames)
     return counts

@@ -1,6 +1,6 @@
 """Independent reference implementations used to cross-check the package.
 
-Deliberately brute-force: apart from ``exact_mean_decoded`` and
+Deliberately brute-force: apart from ``exact_decoded_law`` and
 ``exact_step_law``, which decode with the package's ``simulate_frame``
 (itself checked against the stopping-set and all-orders oracles here), and
 ``reference_train``, which replays ``step_frame`` one frame at a time, these
@@ -116,7 +116,7 @@ def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     frame. Returns the (frames, users) decoded flags and the (frames,) count
     of productive passes; rounds continue only on frames that made progress.
     The package's batch kernel once ran this way, on float32 matrix products;
-    it is kept as a differential oracle for the bit-word kernel.
+    it is kept as a differential oracle for the slot-mask kernel.
     """
     n_frames, n_users, _ = incidence.shape
     decoded = np.zeros((n_frames, n_users), dtype=bool)
@@ -136,25 +136,6 @@ def _peel_frames(incidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         decoded[live] |= newly
         work[newly] = 0
     return decoded, passes
-
-
-def pack_users(incidence: np.ndarray) -> np.ndarray:
-    """(frames, users, slots) bool incidence as (slots, W, frames) uint64
-    words, W = ceil(users / 64): bit u % 64 of word u // 64 is user u."""
-    n_frames, n_users, n_slots = incidence.shape
-    words = np.zeros((n_slots, -(-n_users // 64), n_frames), dtype=np.uint64)
-    for f, u, s in zip(*np.nonzero(incidence)):
-        words[s, u // 64, f] |= np.uint64(1) << np.uint64(u % 64)
-    return words
-
-
-def unpack_users(words: np.ndarray, n_users: int) -> np.ndarray:
-    """(W, frames) uint64 words as (frames, users) bool flags."""
-    return np.array(
-        [[bool(int(words[u // 64, f]) >> (u % 64) & 1) for u in range(n_users)]
-         for f in range(words.shape[1])],
-        dtype=bool,
-    ).reshape(words.shape[1], n_users)
 
 
 def all_orders_decode(bursts: dict, n_slots: int) -> set:
@@ -208,8 +189,9 @@ def class_size_bound(key, B: int) -> int:
     return max(0, min(B + 1 - max(sums), B + min(sums) + 1))
 
 
-def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
-    """Exact expected decoded users per saturated frame of m users.
+def exact_decoded_law(dist, m: int, n_slots: int) -> np.ndarray:
+    """Exact law of the decoded users of a saturated frame of m users: entry
+    k is the probability that k users decode.
 
     Every user draws a degree from ``dist``, capped at n_slots, and a uniform
     subset of that many slots. Sums over every degree vector and every
@@ -226,14 +208,20 @@ def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
         if capped[l] > 0
         for subset in combinations(range(n_slots), l)
     ]
-    total = 0.0
+    law = np.zeros(m + 1)
     for frame in product(choices, repeat=m):
         weight = 1.0
         for _, p in frame:
             weight *= p
         out = simulate_frame({u: slots for u, (slots, _) in enumerate(frame)})
-        total += weight * len(out.decoded)
-    return total
+        law[len(out.decoded)] += weight
+    return law
+
+
+def exact_mean_decoded(dist, m: int, n_slots: int) -> float:
+    """Exact expected decoded users per saturated frame of m users, the mean
+    of ``exact_decoded_law``."""
+    return float(exact_decoded_law(dist, m, n_slots) @ np.arange(m + 1))
 
 
 def sequential_batch_oracle(q, h_visited, a, h_next, params):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from irsa_rl.core import (
     uniform_distribution,
     _CHUNK_ELEMENTS,
     _floyd_sampler,
-    _peel_words,
+    _peel_masks,
 )
 
 from hypothesis import example, given, settings, strategies as st
@@ -27,15 +28,14 @@ from oracles import (
     _peel_frames,
     all_orders_decode,
     enumerate_frames,
+    exact_decoded_law,
     exact_mean_decoded,
     floyd_placement,
-    pack_users,
     slot_list_peel,
     stable_argsort_placement,
     stopping_set_decode,
     stopping_set_decode_fast,
     subset_masks,
-    unpack_users,
 )
 
 #: 0.2 x + 0.5 x^2 + 0.3 x^3
@@ -372,9 +372,11 @@ _MIXED = [PURE_ALOHA, uniform_distribution(3), LAMBDA_3, BASELINE_IRSA]
 _ONES_D2 = DegreeDistribution((1.0, 0.0))
 
 
-#: (n_slots, policies, n_frames) of the replays. 70 and 130 users fill two
-#: and three occupancy words; 12 users in 12 slots over 11500 frames hold
-#: more than _CHUNK_ELEMENTS words, so that call peels in two batches.
+#: (n_slots, policies, n_frames) of the replays. 80, 140 and 300 slots take
+#: two, three and five slot-mask words. 12 users over 11500 frames fill
+#: several chunks of at most _CHUNK_ELEMENTS // 4 (frame, user) rows; 8 users
+#: in 300 slots over 2000 frames fill two chunks of at most _CHUNK_ELEMENTS
+#: mask words.
 _REPLAYS = {
     "10-10-2500": (10, [BASELINE_IRSA] * 10, 2500),
     "50-40-250": (50, [BASELINE_IRSA] * 40, 250),
@@ -383,19 +385,22 @@ _REPLAYS = {
     "80-70-30": (80, [BASELINE_IRSA] * 70, 30),
     "140-130-24": (140, [BASELINE_IRSA] * 130, 24),
     "12-12-11500": (12, [BASELINE_IRSA] * 12, 11500),
+    "300-8-2000": (300, [BASELINE_IRSA] * 8, 2000),
 }
 
 
 def test_replays_span_words_and_peel_batches():
-    words = {-(-len(policies) // 64) for _, policies, _ in _REPLAYS.values()}
-    assert {1, 2, 3} <= words
+    # Each chunk of (frame, user) rows is peeled as one batch.
+    words = {-(-n_slots // 64) for n_slots, _, _ in _REPLAYS.values()}
+    assert {1, 2, 3, 5} <= words
     n_slots, policies, n_frames = _REPLAYS["12-12-11500"]
-    assert n_frames * n_slots * -(-len(policies) // 64) > _CHUNK_ELEMENTS
+    assert n_frames * len(policies) > 2 * (_CHUNK_ELEMENTS // 4)
+    n_slots, policies, n_frames = _REPLAYS["300-8-2000"]
+    assert n_frames * len(policies) * -(-n_slots // 64) > _CHUNK_ELEMENTS
 
 
 @pytest.mark.parametrize("n_slots,policies,n_frames", list(_REPLAYS.values()), ids=list(_REPLAYS))
 def test_simulate_saturated_replays_sic_decode_exactly(n_slots, policies, n_frames):
-    assert n_frames * len(policies) * n_slots > _CHUNK_ELEMENTS
     rng = np.random.default_rng(21)
     batched = simulate_saturated(policies, n_slots, n_frames, rng)
     counts, ref_rng = _replay_saturated(policies, n_slots, n_frames, 21)
@@ -463,7 +468,7 @@ def test_floyd_sampler_is_uniform_over_subsets(n_slots, l):
     # Every row's mask is an l-subset of the slots, and each of the C(N, l)
     # subsets turns up about equally often. l > N / 2 draws the complement.
     rows = 6000
-    sample = _floyd_sampler(rows, n_slots)
+    sample = _floyd_sampler(rows, n_slots, n_slots)
     rng = np.random.default_rng(31)
     seen = {}
     for _ in range(3):
@@ -484,7 +489,7 @@ def test_floyd_sampler_mixed_degrees_match_the_scalar_oracle():
     n_slots = 9
     degrees = np.random.default_rng(32).permutation(np.repeat(np.arange(1, n_slots + 1), 40))
     rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
-    sets, above = _slot_sets(_floyd_sampler(degrees.size, n_slots)(degrees, rng), n_slots)
+    sets, above = _slot_sets(_floyd_sampler(degrees.size, n_slots, n_slots)(degrees, rng), n_slots)
     draws = iter(ref_rng.random(int(np.minimum(degrees, n_slots - degrees).sum())).tolist())
     assert above == 0
     assert sets == [floyd_placement(int(l), n_slots, draws) for l in degrees]
@@ -499,7 +504,7 @@ def test_floyd_sampler_wide_frames_place_distinct_slots_below_n(n_slots):
     rows = 4000
     rng = np.random.default_rng(34)
     degrees = rng.choice([1, 2, 3, 8, n_slots // 2, n_slots - 3, n_slots], size=rows)
-    sets, above = _slot_sets(_floyd_sampler(rows, n_slots)(degrees, rng), n_slots)
+    sets, above = _slot_sets(_floyd_sampler(rows, n_slots, n_slots)(degrees, rng), n_slots)
     assert above == 0
     assert [len(key) for key in sets] == degrees.tolist()
     hits = np.zeros(n_slots)
@@ -518,6 +523,37 @@ def test_simulate_saturated_mean_matches_exact_expectation(m, n_slots):
     exact = exact_mean_decoded(LAMBDA_3, m, n_slots)
     z = (counts.mean() - exact) / (counts.std(ddof=1) / math.sqrt(frames))
     assert abs(z) < 4, (counts.mean(), exact, z)
+
+
+@pytest.mark.parametrize("m,n_slots", [(3, 4), (4, 4), (3, 5)])
+def test_simulate_saturated_decoded_law_matches_exact_law(m, n_slots):
+    # The histogram of decoded users against its exact law, by chi-square.
+    # Degree-3 rows take the complement path of Floyd's sampler (l > N / 2).
+    # No frame decodes m - 1 users: the last user would be alone.
+    frames = 100_000
+    counts = simulate_saturated([LAMBDA_3] * m, n_slots, frames, np.random.default_rng(25))
+    law = exact_decoded_law(LAMBDA_3, m, n_slots)
+    observed = np.bincount(counts, minlength=m + 1)
+    support = law > 0
+    assert not support[m - 1]
+    assert not observed[~support].any()
+    assert sps.chisquare(observed[support], law[support] * frames).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("m,n_slots,n_frames", [(40, 50, 640), (300, 1000, 40)],
+                         ids=["40-50-640", "300-1000-40"])
+def test_simulate_saturated_peak_allocation_is_bounded(m, n_slots, n_frames):
+    # One call peaks at about 2.6 and 2.2 MiB of traced allocation. With a
+    # Floyd uniform buffer of rows * N // 2 entries it read 4.7 and 16.9 MiB,
+    # and with chunks of 2**16 rows 3.9 and 6.6 MiB.
+    rng = np.random.default_rng(26)
+    tracemalloc.start()
+    try:
+        simulate_saturated([BASELINE_IRSA] * m, n_slots, n_frames, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 @settings(max_examples=300)
@@ -539,46 +575,81 @@ def test_peel_frames_matches_stopping_set_oracle(incidence):
 
 @st.composite
 def _random_frames(draw):
-    """(frames, users, slots) incidence of 0-130 users (0 to 3 words) in 1-60
-    slots, each user on 1 to 3 distinct slots, from a drawn seed."""
-    n_users = draw(st.integers(0, 130))
-    n_slots = draw(st.integers(1, 60))
+    """(frames, users, slots) incidence of 0-24 users in N = 1..200 slots,
+    N = 63, 64, 65, 130 and 200 drawn often. Each user sits on 1 to 3
+    distinct slots of a window of up to 24 slots at a drawn offset, so frames
+    collide and peel in several passes, also across mask words. The
+    placements come from a drawn seed."""
+    n_slots = draw(st.one_of(st.sampled_from((63, 64, 65, 130, 200)), st.integers(1, 200)))
+    window = draw(st.integers(1, min(24, n_slots)))
+    offset = draw(st.integers(0, n_slots - window))
+    n_users = draw(st.integers(0, 24))
     n_frames = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    degrees = rng.integers(1, min(3, n_slots) + 1, size=(n_frames, n_users))
-    return stable_argsort_placement(rng.random((n_frames, n_users, n_slots)), degrees)
-
-
-def _chain_frame(chain, n_users):
-    """One frame where user chain[k] sits on slots k and k + 1: the two ends
-    are alone in a slot and peeling works inwards, one link per pass."""
-    incidence = np.zeros((1, n_users, len(chain) + 1), dtype=bool)
-    for k, user in enumerate(chain):
-        incidence[0, user, [k, k + 1]] = True
+    degrees = rng.integers(1, min(3, window) + 1, size=(n_frames, n_users))
+    incidence = np.zeros((n_frames, n_users, n_slots), dtype=bool)
+    incidence[:, :, offset : offset + window] = stable_argsort_placement(
+        rng.random((n_frames, n_users, window)), degrees
+    )
     return incidence
+
+
+def _chain_frame(n_users, first_slot, n_slots):
+    """One frame where user k < n_users - 1 sits on slots first_slot + k and
+    first_slot + k + 1, and the last user on its first slot alone: only slot
+    first_slot starts as a singleton, and peeling decodes one link per pass,
+    n_users passes in all."""
+    incidence = np.zeros((1, n_users, n_slots), dtype=bool)
+    for k in range(n_users):
+        incidence[0, k, first_slot + k : first_slot + min(k + 2, n_users)] = True
+    return incidence
+
+
+def _spread_frame(n_slots):
+    """A chain of 10 users over the top 10 slots of an N-slot frame, so its
+    last mask word peels in 10 passes, and two users that share slots 0 and
+    N // 2, a stopping set that never decodes."""
+    incidence = np.zeros((1, 12, n_slots), dtype=bool)
+    incidence[:, :10] = _chain_frame(10, n_slots - 10, n_slots)
+    incidence[0, 10:, [0, n_slots // 2]] = True
+    return incidence
+
+
+def _slot_masks(incidence):
+    """(frames, users, slots) bool incidence as the (users, W, frames) uint64
+    slot masks of ``_peel_masks``, W = ceil(slots / 64): bit s % 64 of word
+    s // 64 is slot s."""
+    n_frames, n_users, n_slots = incidence.shape
+    n_words = -(-n_slots // 64)
+    padded = np.zeros((n_frames, n_users, 64 * n_words), dtype=bool)
+    padded[:, :, :n_slots] = incidence
+    packed = np.packbits(padded, axis=2, bitorder="little")
+    return packed.view("<u8").astype(np.uint64).transpose(1, 2, 0)
 
 
 @settings(max_examples=150)
 @given(_random_frames())
-@example(np.zeros((1, 0, 5), dtype=bool))
+@example(_spread_frame(63))
+@example(_spread_frame(64))
+@example(_spread_frame(65))
+@example(_spread_frame(130))
+@example(_spread_frame(200))
+@example(np.zeros((2, 0, 5), dtype=bool))
 @example(np.ones((2, 1, 1), dtype=bool))
-@example(np.eye(64, dtype=bool)[None].repeat(2, axis=0))
-@example(np.eye(65, 60, dtype=bool)[None])
-@example(_chain_frame((129, 0, 64, 128, 1, 65), n_users=130))
-def test_peel_words_matches_float32_oracle_and_simulate_frame(incidence):
-    n_frames, n_users, _ = incidence.shape
-    words = pack_users(incidence)
-    before = words.copy()
-    decoded, passes = _peel_words(words)
-    assert np.array_equal(words, before)
-    assert decoded.shape == (-(-n_users // 64), n_frames)
-    flags = unpack_users(decoded, n_users)
+@example(_chain_frame(9, first_slot=59, n_slots=70))
+def test_peel_masks_matches_float32_oracle_and_simulate_frame(incidence):
+    n_frames, n_users, n_slots = incidence.shape
+    masks = _slot_masks(incidence)
+    assert masks.shape == (n_users, -(-n_slots // 64), n_frames)
+    before = masks.copy()
+    decoded, passes = _peel_masks(masks)
+    assert np.array_equal(masks, before)
     oracle_flags, oracle_passes = _peel_frames(incidence)
-    assert np.array_equal(flags, oracle_flags)
+    assert np.array_equal(decoded, oracle_flags.sum(axis=1))
     assert np.array_equal(passes, oracle_passes)
     for i, frame in enumerate(incidence):
         out = simulate_frame({u: np.flatnonzero(slots).tolist() for u, slots in enumerate(frame)})
-        assert set(np.flatnonzero(flags[i])) == out.decoded
+        assert decoded[i] == len(out.decoded)
         assert passes[i] == out.iterations
 
 
