@@ -16,6 +16,7 @@ from .env import (
     ConfigurationError,
     TRACE_COLUMNS,
     TrainConfig,
+    check_trials,
     deployed_policies,
     evaluate,
     train,
@@ -66,8 +67,9 @@ def cmd_baseline(args) -> int:
     cfg, spec = _load_config(args)
     rows = []
     rng = np.random.default_rng(cfg.seed)
+    n_slots = 1000
+    check_trials(spec.trials, n_slots)  # the largest load runs 1000 users
     for load in (0.2, 0.5, 1.0):
-        n_slots = 1000
         m = round(load * n_slots)
         counts = simulate_slotted_aloha(m, n_slots, spec.trials, rng)
         simulated = counts.mean() / n_slots

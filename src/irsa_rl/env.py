@@ -7,27 +7,21 @@ decoded by SIC, successful nodes drain one packet, fresh arrivals land
 shift, and rewards/Q-updates follow. Episodes restart buffers from a uniform
 initial distribution; learned tables always carry over.
 
-Every frame makes one fixed set of draws from the run's generator, whatever
-the nodes hold: one (m, N + 2) uniform block, then the m arrivals. Row i of
-the block belongs to node i: its epsilon test, its exploring pick or greedy
-tie-break, and N uniforms whose argsort ranks the slots for its replicas.
-Resets make their own draw. A run's stream therefore depends only on its
-seed, the frame index and its reset history.
+Every frame makes one fixed set of draws, whatever the nodes hold: one
+(m, N + 2) uniform block and the m arrivals. Row i of the block belongs to
+node i: its epsilon test, its exploring pick or greedy tie-break, and N
+uniforms whose argsort ranks the slots for its replicas.
 
-A ``FramePlan`` hands ``step_frame`` those draws. With Bernoulli arrivals
-(``random(m) < p``) a frame's draws are m * (N + 3) consecutive doubles, and
-with deterministic ones (no draw) m * (N + 2), so a chunk of ``_PLAN_CHUNK``
-frames (fewer when it would pass ``_STRETCH_DOUBLES`` doubles, and never past
-the episode's end) is one ``rng.random`` call, drawn after saving the
-generator state and turned into lists at once. A bad-episode reset after j
-frames of a chunk restores the saved state and redraws j frames of doubles
-to step past them, so ``reset_episode`` draws from the same state as a
-frame-by-frame run. ``bit_generator.advance`` would skip them without
-drawing, but it also drops the generator's spare 32-bit half, which the
-reset's ``integers`` draw uses. Poisson arrivals take a variable number of
-draws, so their chunks are one frame: its block, then its arrivals.
+``train`` spawns three generators from ``SeedSequence(seed)``: one for frame
+blocks, one for arrivals and one for resets. Frame k takes the k-th block
+and the k-th m arrivals of their streams, so its draws depend only on the
+seed and the frame index, never on the resets before it. ``frame_draws``
+therefore draws frames ahead, a chunk of up to ``_STRETCH_DOUBLES`` doubles
+at a time, across episode boundaries, and a reset draws from its own stream
+in between.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,7 +52,7 @@ __all__ = [
     "NodeState",
     "TrainConfig",
     "FrameResult",
-    "FramePlan",
+    "frame_draws",
     "RunRecord",
     "step_frame",
     "detect_bad_episode",
@@ -66,6 +60,7 @@ __all__ = [
     "new_nodes",
     "train",
     "deployed_policies",
+    "check_trials",
     "evaluate",
     "TRACE_COLUMNS",
 ]
@@ -80,13 +75,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _BUFFER_LIMIT = 2**53
 #: The largest d: every visited history holds two Q-table rows of d entries.
 _MAX_REPLICAS = 1024
+#: The largest w: every node holds a history of w levels, and every visited
+#: history keys its Q-table rows.
+_MAX_WINDOW = 1024
+#: The largest m * (N + 2): every training frame draws an (m, N + 2) block
+#: of doubles. It admits 2000 nodes in 2000 slots.
+_MAX_FRAME_DOUBLES = 2**22
+#: The largest trials * m of one saturated evaluation, in (frame, user)
+#: rows. It admits 100,000 frames of 1000 users, the size of ``baseline``.
+_MAX_EVALUATION_ROWS = 2**27
 #: The largest mean numpy's ``Generator.poisson`` accepts; it rejects any
 #: larger one with "lam value too large".
 _POISSON_MAX_MEAN = float(_INT64_MAX - 10 * np.sqrt(_INT64_MAX))
-#: Frames a ``FramePlan`` draws at a time.
-_PLAN_CHUNK = 8
-#: A chunk draws at most this many doubles (and at least one frame), which
-#: bounds its memory.
+#: A chunk of ``frame_draws`` draws at most this many doubles (and at least
+#: one frame), which bounds its memory.
 _STRETCH_DOUBLES = 2**13
 
 
@@ -162,6 +164,11 @@ class TrainConfig:
             ) from None
         if m < 1:
             raise ConfigurationError("configuration yields zero nodes")
+        if m * (self.n_slots + 2) > _MAX_FRAME_DOUBLES:
+            raise ConfigurationError(
+                f"m * (N + 2) = {m} * {self.n_slots + 2} is above {_MAX_FRAME_DOUBLES}: "
+                "every training frame draws an (m, N + 2) block of uniforms"
+            )
         if self.params.B >= _BUFFER_LIMIT:
             raise ConfigurationError(
                 f"buffer capacity B = {self.params.B} must be below 2**53: "
@@ -172,6 +179,11 @@ class TrainConfig:
                 f"max_replicas d = {self.params.d} is above {_MAX_REPLICAS}: every visited "
                 f"history would hold two Q-table rows of {self.params.d} entries "
                 f"({16 * self.params.d} bytes)"
+            )
+        if self.params.w > _MAX_WINDOW:
+            raise ConfigurationError(
+                f"window w = {self.params.w} is above {_MAX_WINDOW}: every node holds "
+                "a history of w buffer levels"
             )
         if self.virtual_experience and self.params.w < 2:
             raise ConfigurationError("virtual experience needs a history window >= 2")
@@ -257,100 +269,52 @@ class RunRecord:
             )
 
 
-class FramePlan:
-    """The draws of a run's frames, taken from ``rng`` a chunk at a time.
+def frame_draws(
+    config: TrainConfig,
+    blocks: np.random.Generator,
+    arrivals: np.random.Generator,
+    m: int,
+    frames: int,
+) -> Iterator[tuple[list, list, list, list]]:
+    """Yield the draws of ``frames`` frames of m nodes, a chunk at a time.
 
-    ``next_frame`` returns one frame's (explore, pick, ranks, arrivals): per
-    node its two ``select_action`` uniforms, its first d slot ranks and its
-    arrival count. ``start(frames)`` sets how many frames the plan may hand
-    out next; it never draws past them, so the generator sits right after
-    the last frame once they are all out. ``rewind()`` puts the generator
-    right after the frames handed out so far, so that a reset can draw.
+    Each frame is (explore, pick, ranks, arrivals): per node its two
+    ``select_action`` uniforms, its first d slot ranks and its arrival
+    count. A chunk of n frames is one (n, m, N + 2) block from ``blocks``,
+    at most ``_STRETCH_DOUBLES`` doubles and at least one frame, then one
+    ``ArrivalModel.sample`` of n * m arrivals from ``arrivals``. So frame k
+    holds the k-th frame's draws of each stream however the chunks fall,
+    and once all ``frames`` are out both generators sit right after them.
     """
-
-    def __init__(
-        self, config: TrainConfig, rng: np.random.Generator, m: int, frames: int = 1
-    ):
-        self.rng = rng
-        self.m = m
-        self.width = config.n_slots + 2
-        self.d = config.params.d
-        self.arrivals = config.arrivals
-        # Doubles of one frame's block, and of its whole ``rng.random`` draw:
-        # Bernoulli arrivals add m doubles, Poisson ones draw after it.
-        self.block_doubles = m * self.width
-        self.frame_doubles = self.block_doubles + (m if config.arrivals.kind == "bernoulli" else 0)
-        self.start(frames)
-
-    def start(self, frames: int) -> None:
-        """Drop any drawn frames and allow the next ``frames``."""
-        self.left = frames  # frames still to hand out
-        self.ready = []  # drawn frames not yet handed out, last one first
-        self.saved = None  # generator state before the chunk was drawn
-        self.drawn = 0  # frames in the chunk
-
-    def rewind(self) -> None:
-        """Put the generator right after the frames handed out."""
-        if self.ready:
-            # Redrawn, not skipped with advance(): advance() would drop the
-            # spare 32-bit half that the reset's integers draw uses.
-            self.rng.bit_generator.state = self.saved
-            self.rng.random((self.drawn - len(self.ready)) * self.frame_doubles)
-        self.start(self.left)
-
-    def next_frame(self) -> tuple[list, list, list, list]:
-        ready = self.ready
-        if not ready:
-            ready = self.ready = self._draw()
-        self.left -= 1
-        return ready.pop()
-
-    def _draw(self) -> list:
-        """Draw the next chunk of frames as lists, last frame first."""
-        if self.left <= 0:
-            raise ValueError("the frame plan has no frames left: start() the next episode")
-        m, per, rng, arrivals = self.m, self.frame_doubles, self.rng, self.arrivals
-        if arrivals.kind == "poisson":
-            # A variable number of draws follows each block, so one frame.
-            n = 1
-        else:
-            n = min(self.left, _PLAN_CHUNK, max(1, _STRETCH_DOUBLES // per))
-            self.saved = rng.bit_generator.state
-        self.drawn = n
-        chunk = rng.random(n * per).reshape(n, per)
-        cut = self.block_doubles
-        if arrivals.kind == "bernoulli":
-            arrived = (chunk[:, cut:] < arrivals.param).tolist()
-        elif arrivals.kind == "poisson":
-            arrived = [arrivals.sample(rng, m).tolist()]
-        else:
-            arrived = [[int(arrivals.param)] * m] * n
-        block = chunk[:, :cut].reshape(n, m, self.width)
-        explore = block[:, :, 0].tolist()
-        pick = block[:, :, 1].tolist()
+    width = config.n_slots + 2
+    d = config.params.d
+    per_chunk = max(1, _STRETCH_DOUBLES // (m * width))
+    while frames > 0:
+        n = min(frames, per_chunk)
+        frames -= n
+        block = blocks.random((n, m, width))
+        arrived = config.arrivals.sample(arrivals, n * m).reshape(n, m).tolist()
         # Only the first d ranks can hold a replica.
-        ranks = block[:, :, 2:].argsort(axis=2)[:, :, : self.d].tolist()
-        frames = list(zip(explore, pick, ranks, arrived))
-        frames.reverse()
-        return frames
+        ranks = block[:, :, 2:].argsort(axis=2)[:, :, :d].tolist()
+        yield from zip(block[:, :, 0].tolist(), block[:, :, 1].tolist(), ranks, arrived)
 
 
 def step_frame(
     nodes: list[NodeState],
     config: TrainConfig,
-    plan: "FramePlan | np.random.Generator",
+    plan: "Iterator | np.random.Generator",
 ) -> FrameResult:
     """Advance every node by one frame; mutates node state in place.
 
-    The frame takes its draws from ``plan``; a bare generator is a one-frame
-    plan for m = len(nodes) nodes. They are, in this order and whatever the
-    nodes hold: one (m, N + 2) uniform block, then the m arrivals of
-    ``config.arrivals``. Row i of the block belongs to node i: column 0 is
-    its epsilon test, column 1 its exploring pick or greedy tie-break (both
-    go to ``select_action``), and the argsort of columns 2.. ranks the
-    slots, so its a replicas sit in its first min(a, N) ranks. Rows of
-    silent nodes go unused. A plan that ``train`` drew a chunk ahead
-    yields the same draws as frame-by-frame calls on the generator.
+    The frame takes the next draws of ``plan``, an iterator of
+    ``frame_draws`` frames. Whatever the nodes hold, they are one (m, N + 2)
+    uniform block and the m arrivals of ``config.arrivals``. Row i of the
+    block belongs to node i: column 0 is its epsilon test, column 1 its
+    exploring pick or greedy tie-break (both go to ``select_action``), and
+    the argsort of columns 2.. ranks the slots, so its a replicas sit in its
+    first min(a, N) ranks. Rows of silent nodes go unused. A bare generator
+    is the one stream of a one-frame plan for m = len(nodes) nodes: the
+    block, then the arrivals, both drawn from it.
 
     Nodes with an empty buffer stay silent: they get reward 0 and no
     Q-update for the frame, but arrivals still land and their histories
@@ -362,8 +326,8 @@ def step_frame(
     m = len(nodes)
 
     if isinstance(plan, np.random.Generator):
-        plan = FramePlan(config, plan, m)
-    explore, pick, ranks, arrivals = plan.next_frame()
+        plan = frame_draws(config, plan, plan, m, 1)
+    explore, pick, ranks, arrivals = next(plan)
 
     actions = []  # per node its replica count, 0 when silent
     bursts = {}
@@ -434,16 +398,17 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
     Buffers restart uniformly at each episode boundary; inside an episode a
     run of three strictly deteriorating mean rewards triggers an extra reset
     (a "bad episode"). The trace records one row per frame. Bit-reproducible
-    for a fixed config seed.
+    for a fixed config seed: frame blocks, arrivals and resets each draw from
+    their own generator, spawned in that order from ``SeedSequence(seed)``.
     """
-    rng = np.random.default_rng(config.seed)
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    block_rng, arrival_rng, reset_rng = (np.random.default_rng(s) for s in seeds)
     nodes = new_nodes(config)
-    plan = FramePlan(config, rng, len(nodes), 0)
+    plan = frame_draws(config, block_rng, arrival_rng, len(nodes), config.total_iterations)
 
     record = RunRecord(config=config)
     for _ in range(config.episodes):
-        reset_episode(nodes, config.params, rng)
-        plan.start(config.iters_per_episode)
+        reset_episode(nodes, config.params, reset_rng)
         recent: list[float] = []
         for _ in range(config.iters_per_episode):
             result = step_frame(nodes, config, plan)
@@ -451,8 +416,7 @@ def train(config: TrainConfig) -> tuple[list[NodeState], RunRecord]:
             recent.append(mean_reward)
             resets = 0
             if detect_bad_episode(recent):
-                plan.rewind()
-                reset_episode(nodes, config.params, rng)
+                reset_episode(nodes, config.params, reset_rng)
                 recent.clear()
                 resets = 1
             record.mean_reward.append(mean_reward)
@@ -478,6 +442,18 @@ def deployed_policies(tables: list[QTable]) -> list[DegreeDistribution]:
     return policies
 
 
+def check_trials(trials: int, m: int) -> None:
+    """Reject a saturated evaluation of ``trials`` frames of m users that has
+    no frame, or more than ``_MAX_EVALUATION_ROWS`` (frame, user) rows."""
+    if trials < 1:
+        raise ConfigurationError("need at least one trial")
+    if trials * m > _MAX_EVALUATION_ROWS:
+        raise ConfigurationError(
+            f"trials * m = {trials} * {m} is above {_MAX_EVALUATION_ROWS} "
+            "(frame, user) rows of saturated evaluation"
+        )
+
+
 def evaluate(
     policy,
     config: TrainConfig,
@@ -491,13 +467,13 @@ def evaluate(
     sequence of distributions (``deployed_policies`` turns trained Q-tables
     into one). Every trial is one saturated frame: every node is backlogged
     and draws its replica count from its distribution. ``level`` is the
-    two-sided confidence level of the returned interval, checked before any
-    draw. The interval's bounds are computed, and scipy loaded, only when
-    ``ci_low`` or ``ci_high`` is first read: a caller that reads only
-    ``mean``, ``stderr`` and ``n`` loads no scipy.
+    two-sided confidence level of the returned interval. It and the size
+    (``check_trials``) are checked before any draw. The interval's bounds
+    are computed, and scipy loaded, only when ``ci_low`` or ``ci_high`` is
+    first read: a caller that reads only ``mean``, ``stderr`` and ``n``
+    loads no scipy.
     """
-    if trials < 1:
-        raise ConfigurationError("need at least one trial")
+    check_trials(trials, config.m)
     if not 0.0 < level < 1.0:
         raise ConfigurationError("confidence level must lie in (0, 1)")
     if isinstance(policy, DegreeDistribution):

@@ -23,7 +23,14 @@ import numpy as np
 
 from .agent import LearningParams
 from .core import BASELINE_IRSA, PURE_ALOHA, simulate_saturated, uniform_distribution
-from .env import ArrivalModel, ConfigurationError, TrainConfig, deployed_policies, train
+from .env import (
+    ArrivalModel,
+    ConfigurationError,
+    TrainConfig,
+    check_trials,
+    deployed_policies,
+    train,
+)
 from .stats import Summary, t_interval
 
 __all__ = [
@@ -207,7 +214,10 @@ def _summaries(spec: SweepSpec, seed: int, tags, groups, workers: int = 1) -> li
     """One Student-t interval at ``spec.level`` of ``_cell`` throughput per
     group: a group is (coordinates, config, policies), its cells repetitions
     0..spec.repetitions-1 keyed (seed, tag, *coordinates, rep), each
-    evaluating ``spec.trials`` frames."""
+    evaluating ``spec.trials`` frames. Every group's evaluation size is
+    checked before any cell trains."""
+    for _, config, _ in groups:
+        check_trials(spec.trials, config.m)
     reps = spec.repetitions
     cells = [
         (seed, tags, (*coords, rep), config, spec.trials, policies)

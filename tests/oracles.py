@@ -3,8 +3,9 @@
 Deliberately brute-force: apart from ``exact_decoded_law`` and
 ``exact_step_law``, which decode with the package's ``simulate_frame``
 (itself checked against the stopping-set and all-orders oracles here), and
-``reference_train``, which replays ``step_frame`` one frame at a time, these
-share no code with the package internals.
+``reference_train``, which replays ``step_frame`` one frame at a time on the
+draws of ``one_frame_draws`` (its arrivals from ``ArrivalModel.sample``),
+these share no code with the package internals.
 """
 
 from itertools import accumulate, combinations, product
@@ -243,24 +244,42 @@ def sequential_batch_oracle(q, h_visited, a, h_next, params):
     return updated
 
 
+def one_frame_draws(config, blocks, arrivals):
+    """One frame's (explore, pick, ranks, arrivals), drawn on its own: an
+    (m, N + 2) block from ``blocks``, then m arrivals from ``arrivals``."""
+    m, d = config.m, config.params.d
+    block = blocks.random((m, config.n_slots + 2))
+    return (
+        block[:, 0].tolist(),
+        block[:, 1].tolist(),
+        block[:, 2:].argsort(axis=1)[:, :d].tolist(),
+        config.arrivals.sample(arrivals, m).tolist(),
+    )
+
+
 def reference_train(config):
-    """``env.train`` one frame at a time: every frame calls ``step_frame``
-    with the bare generator, and a bad-episode reset follows its frame. The
-    bad-episode test is the three-delta definition, written out here."""
+    """``env.train`` one frame at a time. Frame blocks, arrivals and resets
+    draw from three generators spawned from the seed; every frame draws its
+    own (m, N + 2) block and m arrivals and hands them to ``step_frame``, and
+    a bad-episode reset follows its frame. The bad-episode test is the
+    three-delta definition, written out here."""
     from irsa_rl.env import RunRecord, new_nodes, reset_episode, step_frame
 
-    rng = np.random.default_rng(config.seed)
+    blocks, arrivals, resets = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
+    )
     nodes = new_nodes(config)
     record = RunRecord(config=config)
     for _ in range(config.episodes):
-        reset_episode(nodes, config.params, rng)
+        reset_episode(nodes, config.params, resets)
         recent = []
         for _ in range(config.iters_per_episode):
-            result = step_frame(nodes, config, rng)
+            frame = one_frame_draws(config, blocks, arrivals)
+            result = step_frame(nodes, config, iter([frame]))
             recent.append(result.mean_reward)
             bad = len(recent) >= 4 and all(recent[-k] < recent[-k - 1] for k in (1, 2, 3))
             if bad:
-                reset_episode(nodes, config.params, rng)
+                reset_episode(nodes, config.params, resets)
                 recent = []
             record.mean_reward.append(result.mean_reward)
             record.throughput.append(result.throughput)

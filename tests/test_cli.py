@@ -5,6 +5,8 @@ import inspect
 import json
 import os
 from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -639,6 +641,69 @@ def test_huge_max_replicas_is_config_error_naming_the_row_size():
         TrainConfig(params=LearningParams(d=cap + 1))
 
 
+def test_size_caps_admit_every_preset_and_workload_size():
+    # The largest sizes in use: the benchmark's 1000 users in 1000 slots over
+    # 2600 frames, baseline's 100,000 frames of 1000 users, and w, d <= 8.
+    assert TrainConfig(n_slots=1000, load=1.0).m == 1000
+    env.check_trials(2600, 1000)
+    env.check_trials(100_000, 1000)
+    cap = env._MAX_FRAME_DOUBLES
+    assert TrainConfig(n_slots=cap // 4 - 2, load=4 / (cap // 4 - 2)).m == 4
+    with pytest.raises(ConfigurationError, match="m \\* \\(N \\+ 2\\)"):
+        TrainConfig(n_slots=cap // 4 - 1, load=4 / (cap // 4 - 1))
+    env.check_trials(env._MAX_EVALUATION_ROWS // 10, 10)
+    with pytest.raises(ConfigurationError, match="trials \\* m"):
+        env.check_trials(env._MAX_EVALUATION_ROWS // 10 + 1, 10)
+    w = env._MAX_WINDOW
+    assert build_train_config({"window": str(w)}).params.w == w
+    with pytest.raises(ConfigurationError, match="history of w buffer levels"):
+        TrainConfig(params=LearningParams(w=w + 1))
+
+
+# Each command runs in a child under a 3 GiB address-space limit, so a size
+# the run tried to allocate fails there fast instead of exhausting the host.
+_LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+sys.path.insert(0, {src!r})
+from irsa_rl.cli import main
+sys.exit(main({argv!r}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command,text,flags",
+    [
+        ("eval", "load = 1e17\n", []),
+        ("train", "n_slots = 1000000000000\nload = 1e-11\nepisodes = 1\n", []),
+        ("train", "window = 1000000000\nepisodes = 1\n", []),
+        ("eval", "", ["--trials", "1000000000000"]),
+        ("sweep", "loads = 0.5\nvariants = vanilla_irsa\n", ["--trials", "1000000000000"]),
+        ("baseline", "", ["--trials", "1000000000000"]),
+    ],
+    ids=["eval-nodes", "train-slots", "train-window", "eval-trials", "sweep-trials",
+         "baseline-trials"],
+)
+def test_cli_sizes_the_run_cannot_allocate_are_config_errors(tmp_path, command, text, flags):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x"
+    argv = [command, "--config", cfg, *flags]
+    if "out" in cli._COMMANDS[command].flags:
+        argv += ["--out", str(out)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN.format(src=src, argv=argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1, done.stderr[-2000:]  # no traceback
+    assert json.loads(lines[0])["kind"] == "configuration"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -673,28 +738,29 @@ def test_cli_seed_beyond_32_bits_is_config_error(tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
-# sha256 of the CSV each small run writes, computed on the stream of one
-# fixed draw block per training frame, the float64-bit cell keys and Floyd's
-# placement of saturated evaluation frames.
+# sha256 of the CSV each small run writes, computed on training's three
+# streams (frame blocks, arrivals and resets, spawned from the run's seed),
+# the float64-bit cell keys and Floyd's placement of saturated evaluation
+# frames.
 _PINNED_RUNS = {
     "sweep": (
         "sweep.csv",
         "loads = 0.3, 0.6\nepisodes = 2\nrepetitions = 5\ntrials = 500\n"
         "variants = slotted_aloha, vanilla_irsa, dec_rl, dec_rl_virtual, random_strategy\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "512e3fadec1734298173a394a2f8552c3cf88ce1095484505293c835881bf39c",
+        "1ee78f80f05e91bf43aa7e088c89c3e17bbccb3f8cacf5454013d95338783383",
     ),
     "waterfall": (
         "waterfall.csv",
         "loads = 0.3, 0.6\nepisodes = 2\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "7498887ebbad2e1744abfbf012d3800d8224e8d742e4f7358a02d4f978ddb164",
+        "552b83de31ffab17228c33c2eec1b60c363e8661c79969f5ed20f39dc415d255",
     ),
     "train": (
         "trace.csv",
         "load = 0.5\nepisodes = 3\nseed = 1\n",
         [],
-        "b10477e6ab07b3028595ba8369c34fe91abe09b8e2ec97156e879c0f0d0849fc",
+        "7e66b975d822f7b93eec8d1033b09f934b798c55b4a404739afc17370e537ebc",
     ),
     "baseline": (
         "baseline.csv",
@@ -706,13 +772,13 @@ _PINNED_RUNS = {
         "convergence.csv",
         "loads = 0.6\n",
         ["--seed", "5", "--reps", "2"],
-        "061344c324b83cabfcdf839065c8c484d350ccb696e9d02362cf9a91f3653b37",
+        "ff9f435952d86e86b5547346fa10e64626aed4517e53373799fc2e5f0110e5cb",
     ),
     "virtual-compare": (
         "virtual_compare.csv",
         "load = 0.6\n",
         ["--seed", "5", "--reps", "2", "--trials", "20"],
-        "f0a1a5f5ff8a8f24f407a40a93831bb63b9eba515f49dfd5d481c15eae03fa4f",
+        "e62d034954489fa0a425055f5730c528c3406a1b5f2c815c3ccc00ad96e2258c",
     ),
 }
 

@@ -14,7 +14,6 @@ from irsa_rl.core import BASELINE_IRSA, PURE_ALOHA, simulate_frame, simulate_sat
 from irsa_rl.env import (
     ArrivalModel,
     ConfigurationError,
-    FramePlan,
     NodeState,
     TrainConfig,
     deployed_policies,
@@ -26,7 +25,7 @@ from irsa_rl.env import (
     train,
 )
 from irsa_rl.harness import convergence_config
-from oracles import exact_step_law, reference_train
+from oracles import exact_step_law, one_frame_draws, reference_train
 
 
 def make_nodes(buffers, params, lines=()):
@@ -249,45 +248,55 @@ def test_step_frame_draw_count_is_fixed(arrivals):
     assert all(seen == states[0] for seen in states)
 
 
-@pytest.mark.parametrize(
-    "arrivals",
-    [
-        ArrivalModel("bernoulli", 0.5),
-        ArrivalModel("poisson", 1.5),
-        ArrivalModel("deterministic", 2),
-    ],
-    ids=["bernoulli", "poisson", "deterministic"],
-)
+_ARRIVAL_KINDS = [
+    ArrivalModel("bernoulli", 0.5),
+    ArrivalModel("poisson", 1.5),
+    ArrivalModel("deterministic", 2),
+]
+
+
+@pytest.mark.parametrize("arrivals", _ARRIVAL_KINDS, ids=["bernoulli", "poisson", "deterministic"])
 @pytest.mark.parametrize("stretch_rows", [None, 3])
 @pytest.mark.parametrize("used", [0, 1, 7, 8, 9, 20])
 def test_frame_plan_matches_per_frame_draws_and_rewinds(monkeypatch, arrivals, stretch_rows, used):
+    # frame_draws cuts its chunks at the draw cap (3-frame chunks, or one
+    # chunk of every frame), yet hands out the per-frame draws of its two
+    # streams. Nothing is drawn past the last frame, so no run rewinds a
+    # stream: both sit where ``used`` per-frame draws leave them.
     cfg = TrainConfig(n_slots=6, load=5 / 6, params=LearningParams(d=4), arrivals=arrivals)
-    plan_rng, frame_rng = np.random.default_rng(3), np.random.default_rng(3)
-    for rng in (plan_rng, frame_rng):
-        rng.integers(0, 6, size=3)  # leaves a spare 32-bit half in the generator
     if stretch_rows:
-        monkeypatch.setattr(env, "_STRETCH_DOUBLES", stretch_rows * 5 * 9)
-    plan = FramePlan(cfg, plan_rng, cfg.m, frames=20)
-    for _ in range(used):
-        explore, pick, ranks, arrived = plan.next_frame()
-        block = frame_rng.random((cfg.m, cfg.n_slots + 2))
-        assert explore == block[:, 0].tolist() and pick == block[:, 1].tolist()
-        assert ranks == block[:, 2:].argsort(axis=1)[:, :4].tolist()
-        assert arrived == cfg.arrivals.sample(frame_rng, cfg.m).tolist()
-    plan.rewind()
-    assert plan_rng.bit_generator.state == frame_rng.bit_generator.state
-    assert plan_rng.integers(0, 6, size=5).tolist() == frame_rng.integers(0, 6, size=5).tolist()
+        monkeypatch.setattr(env, "_STRETCH_DOUBLES", stretch_rows * cfg.m * (cfg.n_slots + 2))
+    streams = np.random.default_rng(3).spawn(2)
+    twins = np.random.default_rng(3).spawn(2)
+    frames = list(env.frame_draws(cfg, *streams, cfg.m, used))
+    assert frames == [one_frame_draws(cfg, *twins) for _ in range(used)]
+    for stream, twin in zip(streams, twins):
+        assert stream.bit_generator.state == twin.bit_generator.state
 
 
-def test_frame_plan_hands_out_only_the_frames_it_was_given():
+def test_frame_plan_hands_out_only_the_frames_it_was_given(monkeypatch):
+    # Exactly ``frames`` frames, whether the last 3-frame chunk is whole,
+    # cut short or absent.
     cfg = TrainConfig(load=0.5)
-    plan = FramePlan(cfg, np.random.default_rng(0), cfg.m, frames=2)
-    plan.next_frame()
-    plan.next_frame()
-    with pytest.raises(ValueError, match="no frames left"):
-        plan.next_frame()
-    plan.start(1)
-    plan.next_frame()
+    monkeypatch.setattr(env, "_STRETCH_DOUBLES", 3 * cfg.m * (cfg.n_slots + 2))
+    rng = np.random.default_rng(0)
+    for frames in (0, 1, 2, 3, 4, 7):
+        assert len(list(env.frame_draws(cfg, rng, rng, cfg.m, frames))) == frames
+
+
+def test_step_frame_draws_the_block_then_the_arrivals_from_a_bare_generator():
+    # Bernoulli arrivals and full buffers: every node transmits, and the
+    # arrivals decide the next levels, so drawing them before the block
+    # moves the outcome.
+    params = LearningParams(B=3)
+    cfg = TrainConfig(load=1.0, params=params, arrivals=ArrivalModel("bernoulli", 0.5))
+    nodes, twins = make_nodes([2] * cfg.m, params), make_nodes([2] * cfg.m, params)
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        result = step_frame(nodes, cfg, rng)
+        assert result == step_frame(twins, cfg, iter([one_frame_draws(cfg, twin, twin)]))
+        assert [n.buffer for n in nodes] == [n.buffer for n in twins]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_step_frame_places_replicas_uniformly_over_subsets(monkeypatch):
@@ -465,11 +474,11 @@ def _train_digest(cfg):
 _PINNED_STREAMS = [
     (
         TrainConfig(load=1.0, episodes=6, seed=11),
-        "fe702a70f0010fba8b0c1b0179e1e391d29865c92456044d24c6e098578f91c5",
+        "12595b8be88567b532095e8316c7d3cb73012981cb00c79fff117579a3947136",
     ),
     (
         replace(convergence_config(0.7, virtual=True, seed=12), episodes=8),
-        "7ca3d4ed7ebd8b3f203dbb3d829b61e064abd5a5d399a6b54287ad522b149cb0",
+        "2a2517a50ff45b23e4e5fc2256e7e0a25d1df6899d8d546b345acd91bab74fe6",
     ),
     (
         TrainConfig(
@@ -479,11 +488,11 @@ _PINNED_STREAMS = [
             episodes=6,
             seed=13,
         ),
-        "5788acfa52faf21a841f75579bbc62e27a8a783fb5980ef5131546f330f4980d",
+        "2eb7e65aa79ba7078e4aafd0abe5592e0613855e990350274bc60394ee1e251a",
     ),
     (
         TrainConfig(load=0.8, arrivals=ArrivalModel("poisson", 0.4), episodes=6, seed=14),
-        "2048b7d74e70948e3d2ec35caeb456e87d327162c072867c05c6b20979aa7e94",
+        "57b56f2a1de9c2fd4b38f4ee2b8f2187df4c578a297afa04af7b5b0a193c02bd",
     ),
     (
         TrainConfig(
@@ -493,17 +502,17 @@ _PINNED_STREAMS = [
             episodes=6,
             seed=15,
         ),
-        "15cdb09fb89c504839571071d98fc4ec8d18ce9a231b56fff7845fefa204e2d2",
+        "c079cd433bf6a428729570ba69a52c44468c479c093df8d3db8eb78c10ac56be",
     ),
     # 65 slots: replica masks wider than one 64-bit word.
     (
         TrainConfig(n_slots=65, load=1.0, episodes=3, seed=16),
-        "44bd61ca7c45772e264d33cc22b17b1ee5839a6bdd0db051ddffd2a819a22f8c",
+        "ea63e2ac4309fafc1ffff847b29c2d0454a9aee01f2dc0269250489ca51b1e13",
     ),
     # Greedy play over 8 actions: unvisited and tied rows break ties by u_pick.
     (
         TrainConfig(load=1.0, params=LearningParams(epsilon=0.0, d=8), episodes=6, seed=17),
-        "07b9c470f0e7e2d95fc600cd8537095af1ea2d8562668b5feba763896c812f31",
+        "f9d2a4bb05e83f29921fd723a36b46bb032587f5e384513addf6155d05f93740",
     ),
     # Virtual experience at B = 1: successors often leave [0, B] and many
     # classes have one member.
@@ -515,7 +524,7 @@ _PINNED_STREAMS = [
             episodes=6,
             seed=18,
         ),
-        "d8ec9f7b4eb5ab2442ac70c0bd217a8a7cd4b9973d1d21a7de8418d2acf8716d",
+        "aaa7a399dee1a97d2b455e579bd3077ff2d23aecaff15c8490d2863d0143ae85",
     ),
 ]
 
@@ -529,10 +538,11 @@ def test_train_stream_is_pinned(cfg, digest):
     assert _train_digest(cfg) == digest
 
 
-# train draws frames a chunk ahead and rewinds at each reset; the reference
-# steps frame by frame on the bare generator. Together the configs cover the
-# three arrival kinds, episodes of 0, 1 and 30 frames, epsilon 0 and 1,
-# B = 1, several resets per episode, and chunks cut at the draw limit.
+# train draws frames a chunk ahead, across episodes and resets; the
+# reference draws each frame's block and arrivals itself. Together the
+# configs cover the three arrival kinds, episodes of 0, 1 and 30 frames,
+# epsilon 0 and 1, B = 1, several resets per episode, and chunks cut at the
+# draw limit.
 _REFERENCE_CONFIGS = {
     "resets": TrainConfig(load=1.0, episodes=2, iters_per_episode=200, seed=21),
     "short-stretches": TrainConfig(n_slots=60, load=1.0, episodes=2, iters_per_episode=60, seed=22),
@@ -563,6 +573,33 @@ def test_train_equals_frame_by_frame_reference(cfg):
     assert _run_state(nodes, record) == _run_state(*reference_train(cfg))
 
 
+@pytest.mark.parametrize("name", ["resets", "poisson", "deterministic"])
+def test_a_frames_draws_do_not_depend_on_resets(monkeypatch, name):
+    # The same seed with and without bad-episode resets: every frame the
+    # plan yields is the same, because resets draw from their own stream.
+    cfg = _REFERENCE_CONFIGS[name]
+    real_frame_draws = env.frame_draws
+
+    def run():
+        frames = []
+
+        def recording_frame_draws(*args):
+            for frame in real_frame_draws(*args):
+                frames.append(frame)
+                yield frame
+
+        monkeypatch.setattr(env, "frame_draws", recording_frame_draws)
+        resets = sum(train(cfg)[1].resets)
+        return frames, resets
+
+    frames, resets = run()
+    monkeypatch.setattr(env, "detect_bad_episode", lambda recent: False)
+    unreset, no_resets = run()
+    assert resets > 0 and no_resets == 0
+    assert len(frames) == cfg.total_iterations
+    assert frames == unreset
+
+
 def test_reference_configs_reset_in_mid_stretch():
     per = {}
     for name in ("resets", "short-stretches", "poisson", "deterministic"):
@@ -574,10 +611,11 @@ def test_reference_configs_reset_in_mid_stretch():
         )
     assert per["resets"] >= 5 and per["deterministic"] >= 5
     assert per["short-stretches"] >= 1 and per["poisson"] >= 1
-    # The draw cap holds more than a 30-frame episode at m = N = 10, so its
-    # chunks are whole 8-frame ones, but only a few frames at m = N = 60.
-    assert env._STRETCH_DOUBLES // (10 * 13) > 30
-    assert env._STRETCH_DOUBLES // (60 * 63) < 60
+    # The draw cap holds more than a 30-frame episode of (m, N + 2) blocks at
+    # m = N = 10, so a chunk spans episodes and resets, but only a few frames
+    # at m = N = 60, so a 60-frame episode spans many chunks.
+    assert env._STRETCH_DOUBLES // (10 * 12) > 30
+    assert env._STRETCH_DOUBLES // (60 * 62) < 60
 
 
 def test_step_frame_meets_the_exact_one_frame_law():
@@ -598,7 +636,7 @@ def test_step_frame_meets_the_exact_one_frame_law():
     assert math.isclose(sum(law.values()), 1.0)
 
     calls = 20_000
-    plan = FramePlan(cfg, np.random.default_rng(4242), cfg.m, frames=calls)
+    plan = env.frame_draws(cfg, *np.random.default_rng(4242).spawn(2), cfg.m, calls)
     seen = Counter()
     totals = np.zeros((calls, 3))
     for k in range(calls):

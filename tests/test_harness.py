@@ -439,6 +439,18 @@ def _recorded_trains(monkeypatch) -> list:
     return configs
 
 
+@pytest.mark.parametrize("experiment", ["sweep", "waterfall"])
+def test_an_evaluation_too_large_is_rejected_before_any_cell_trains(monkeypatch, experiment):
+    configs = _recorded_trains(monkeypatch)
+    spec = SweepSpec(loads=(0.5,), variants=("dec_rl",), repetitions=1, trials=2**40)
+    with pytest.raises(ConfigurationError, match="trials \\* m"):
+        if experiment == "sweep":
+            run_sweep(spec, BASE)
+        else:
+            waterfall_suite(spec, BASE)
+    assert configs == []
+
+
 # One non-default value per run and learner field a cell could drop.
 _RUN_FIELDS = {
     "n_slots": 12,
@@ -573,9 +585,9 @@ def test_cell_key_words_outside_32_bits_are_rejected():
 # draw or the train -> deploy -> evaluate arithmetic moves them; a refactor of
 # the experiment plumbing must leave them alone.
 _PINNED_EXPERIMENTS = {
-    "sweep": "e849aab1897f98a880d9074417ffe75e60f110505ab5d60a29896c1f1093940c",
-    "compare_virtual": "99942494853844ee5f0507d388d1d534fbba8ce2d82a00b99da1ba0f0cfe3a1b",
-    "waterfall": "f48a40d8440439d3b5fda5b9b2bf1425c58f0015f606a38074ad7b062feb2aaa",
+    "sweep": "95bb152b635a896ab2488e363cecc1e61bd8505cfe1194ad3ff22d563b709829",
+    "compare_virtual": "88674a3ab207bbbee7d57e9b7cdb36272b18d9ffc6b3664aa692a196b305af51",
+    "waterfall": "b725a91ef7c50196340472f05106b5d97887c598b3c11a23c9da879b501d3b68",
 }
 
 
@@ -608,8 +620,8 @@ def test_experiment_streams_are_pinned():
 # Digests of the plain and virtual learning curves of three short repetitions:
 # running the repetitions through the shared runner must leave them alone.
 _PINNED_CURVES = {
-    False: "13c1a9650a1ec2e9ad89700e0d70e2f28b674626052bee5652eeb1e8a65e5b10",
-    True: "abcee7ac2d553078cefc6f1153a834eafe1261afdde58503d9a2e74a73165787",
+    False: "4d3b1d9a3c0ba947b312e3e1ee123502e5ee22734a263a83008a122876bdce95",
+    True: "b2efa7c5fc7b6b250653df7747133e0438cd27164fceef13f7cf10783a30bbad",
 }
 
 
