@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 import importlib
 from pathlib import Path
+import threading
 import types
 
 import numpy as np
@@ -150,3 +151,25 @@ def test_train_steps_and_resets_through_the_wrapped_env_names(monkeypatch, cfg):
     assert calls["reset_episode"] == cfg.episodes + sum(record.resets)
     if cfg.iters_per_episode:
         assert sum(record.resets) > 0
+
+
+def test_wrapped_names_run_on_the_calling_thread(monkeypatch):
+    # The tracer keeps one span stack per process, so a wrapped call made on
+    # the Slotted ALOHA runner's draw-ahead helper would nest its span under
+    # whatever the calling thread has open. 1000 users in 200 frames take
+    # four chunks, so the helper draws three of them.
+    threads = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr, _ in WRAP_POINTS:
+        owner = importlib.import_module(f"irsa_rl.{module}")
+        monkeypatch.setattr(owner, attr, recording(getattr(owner, attr)))
+    env.evaluate(PURE_ALOHA, TrainConfig(n_slots=1000, load=1.0), 200, np.random.default_rng(0))
+    assert len(threads) == 2  # env.simulate_saturated, core.simulate_slotted_aloha
+    assert all(thread is threading.main_thread() for thread in threads)

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -448,6 +449,93 @@ def test_simulate_slotted_aloha_replays_one_draw(m, n_slots, n_frames):
     ref = [np.count_nonzero(np.bincount(row, minlength=n_slots) == 1) for row in slots]
     assert np.array_equal(got, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _thread_starts(monkeypatch) -> list:
+    """The threads started from now on, recorded by ``threading.Thread.start``."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+@pytest.mark.parametrize(
+    "m,n_slots,n_frames,name",
+    [(3, 0, 100_000, "n_slots"), (3, -2, 10, "n_slots"), (-1, 5, 100_000, "n_users"),
+     (3, 5, -1, "n_frames")],
+    ids=["no-slots", "negative-slots", "negative-users", "negative-frames"],
+)
+def test_simulate_slotted_aloha_rejects_bad_sizes_before_any_draw(
+    monkeypatch, m, n_slots, n_frames, name
+):
+    started = _thread_starts(monkeypatch)
+    rng = np.random.default_rng(25)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=name):
+        simulate_slotted_aloha(m, n_slots, n_frames, rng)
+    assert rng.bit_generator.state == state
+    assert started == []
+
+
+@pytest.mark.parametrize(
+    "m,n_slots,n_frames",
+    [(16, 20, 3 * (_CHUNK_ELEMENTS // 16)), (0, 5, 3 * _CHUNK_ELEMENTS + 7), (7, 5, 0)],
+    ids=["three-full-chunks", "no-users-4-chunks", "no-frames"],
+)
+def test_simulate_slotted_aloha_chunk_boundaries_replay_one_draw(m, n_slots, n_frames):
+    # The last chunk ends exactly on a chunk boundary, every chunk draws an
+    # empty (frames, 0) block, or there is no chunk at all.
+    rng = np.random.default_rng(24)
+    got = simulate_slotted_aloha(m, n_slots, n_frames, rng)
+    ref_rng = np.random.default_rng(24)
+    slots = ref_rng.integers(0, n_slots, size=(n_frames, m))
+    occupancy = (slots[:, :, None] == np.arange(n_slots)).sum(axis=1)
+    assert np.array_equal(got, (occupancy == 1).sum(axis=1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _FailingDraws:
+    """A generator whose third ``integers`` call raises; the others draw
+    from a real generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("third draw failed")
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_simulate_slotted_aloha_raises_a_draw_error_and_joins_its_helper():
+    # 1000 users take 65 frames per chunk: 400 frames are 7 chunks, and the
+    # third chunk is drawn on the helper thread. The helper is at most one
+    # chunk ahead, so no draw follows the one that failed.
+    before = threading.active_count()
+    rng = _FailingDraws(26)
+    with pytest.raises(RuntimeError, match="third draw failed"):
+        simulate_slotted_aloha(1000, 1000, 400, rng)
+    assert rng.calls == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_frames,threads", [(1, 0), (65, 0), (66, 1), (400, 1)])
+def test_simulate_slotted_aloha_starts_a_helper_only_for_several_chunks(
+    monkeypatch, n_frames, threads
+):
+    started = _thread_starts(monkeypatch)
+    before = threading.active_count()
+    simulate_slotted_aloha(1000, 1000, n_frames, np.random.default_rng(27))
+    assert len(started) == threads
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
 
 
 def _slot_sets(masks, n_slots):
