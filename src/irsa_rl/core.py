@@ -25,17 +25,23 @@ words per mask: ``once`` and ``twice`` come from a pairwise OR tree over
 the users, and each round works only on the frames that still have a
 singleton slot. Both count the same decoded users and productive passes.
 
-Every degree is drawn by ``sample_degrees``. ``simulate_saturated`` picks
-its route before it draws: when every policy's maximum degree, capped at N,
-is 1 (``PURE_ALOHA``, or a one-slot frame), it returns
-``simulate_slotted_aloha`` and draws no degrees. Otherwise it draws each
-user's n_frames degrees with one ``sample_degrees`` call, in user order, and
-caps them at N. Both runners work in chunks of frames. When a Slotted ALOHA
-call takes more than one chunk, one helper thread draws the next chunk's
-slots while the calling thread counts the current chunk: each stage is one
-large numpy call that releases the GIL, so on two cores they overlap, and
-the draws keep their order, sizes and dtype, so counts and generator state
-match a serial loop. The IRSA route has no helper: its sampler and peeling
+``simulate_saturated`` picks its route before it draws: when every
+policy's maximum degree, capped at N, is 1 (``PURE_ALOHA``, or a one-slot
+frame), it returns ``simulate_slotted_aloha`` and draws no degrees.
+Otherwise it draws the degrees of a block of users with one
+``rng.random((users, n_frames))`` call: the same doubles, in the same
+order, as one ``sample_degrees(dist, n_frames, rng)`` call per user in user
+order. ``_locate_degrees`` then turns a uniform u into 1 + the number of
+the user's CDF steps at or below u, one compare-and-add pass per column of
+a (users, S) table of steps, S = min(max d, N) - 1 (``_cdf_steps``). The
+steps that a u below 1 passes are a prefix of the CDF, so this is
+``sample_degrees``' searchsorted degree, and stopping after N - 1 steps is
+its cap at N, at no cost. Both runners work in chunks of frames. When a
+Slotted ALOHA call takes more than one chunk, one helper thread draws the
+next chunk's slots while the calling thread counts the current chunk: each
+stage is one large numpy call that releases the GIL, so on two cores they
+overlap, and the draws keep their order, sizes and dtype, so counts and
+generator state match a serial loop. The IRSA route has no helper: its sampler and peeling
 are many small numpy calls that hold the GIL between them, and a prototype
 that ran the sampler one chunk ahead made every IRSA shape 20-30% slower.
 
@@ -155,6 +161,37 @@ def sample_degrees(dist: DegreeDistribution, size, rng: np.random.Generator) -> 
     """Draw ``size`` replica counts in [1, d] from the distribution, one
     uniform each, in order."""
     return np.searchsorted(dist._cdf, rng.random(size), side="right").astype(np.int64) + 1
+
+
+def _cdf_steps(policies, n_slots: int) -> np.ndarray:
+    """The (users, S) table of CDF steps that ``_locate_degrees`` counts,
+    S = min(max d, N) - 1: row u holds ``policies[u]._cdf[:S]``, padded with
+    inf where policy u has fewer entries, so that its padding never counts."""
+    n_steps = min(max(dist.d for dist in policies), n_slots) - 1
+    steps = np.full((len(policies), n_steps), np.inf)
+    for row, dist in zip(steps, policies):
+        cdf = dist._cdf[:n_steps]
+        row[: cdf.size] = cdf
+    return steps
+
+
+def _locate_degrees(uniforms: np.ndarray, steps: np.ndarray, out: np.ndarray) -> None:
+    """Write 1 + the number of steps at or below each uniform into ``out``:
+    ``uniforms``, ``out`` and ``steps`` have one row per user, and the
+    uniforms of row u count against ``steps[u]``, one compare-and-add pass
+    per column.
+
+    For a row of ``_cdf_steps`` this is ``sample_degrees``' degree capped at
+    N, min(searchsorted(cdf, u, side="right") + 1, N). A cdf is
+    nondecreasing up to its first entry at or above 1 (float drift can leave
+    an entry before the last one above the last one's 1.0), and a uniform
+    is below 1, so the entries at or below u are a prefix of the cdf. The
+    search counts that prefix, and S = min(d, N) - 1 columns count at most
+    N - 1 of it, which is the cap. The inf padding never counts.
+    """
+    out.fill(1)
+    for column in steps.T:
+        out += uniforms >= column[:, None]
 
 
 def place_replicas(l: int, n_slots: int, rng: np.random.Generator) -> frozenset[int]:
@@ -432,11 +469,21 @@ def simulate_saturated(
     are capped (distinct placement is impossible otherwise). When every
     capped maximum degree is 1, the frames go undrawn to
     ``simulate_slotted_aloha``; frames whose drawn degrees are all 1 are peeled.
+
+    Degrees are drawn for blocks of at most ``_CHUNK_ELEMENTS // n_frames``
+    users (at least one), one ``rng.random((users, n_frames))`` call each,
+    and ``_locate_degrees`` gives them already capped at N: counts and
+    generator state equal those of per-user ``sample_degrees`` draws capped
+    at N. They are held as (users, frames) in the narrowest unsigned type
+    that holds N, and each chunk's rows are copied frame-major into one int64
+    buffer for ``_floyd_sampler``.
     """
     if isinstance(policies, DegreeDistribution):
         raise TypeError("pass an explicit per-node sequence or use [dist] * m")
     if n_slots < 1:
         raise ValueError("a frame needs at least one slot")
+    if n_frames < 0:
+        raise ValueError(f"n_frames must be >= 0, got {n_frames}")
     n_users = len(policies)
     if n_users == 0:
         return np.zeros(n_frames, dtype=np.int64)
@@ -444,17 +491,24 @@ def simulate_saturated(
     if max_degree == 1:
         return simulate_slotted_aloha(n_users, n_slots, n_frames, rng)
 
-    degrees = np.stack([sample_degrees(dist, n_frames, rng) for dist in policies], axis=1)
-    np.minimum(degrees, n_slots, out=degrees)
+    # A narrow type makes each compare-and-add pass over the degrees cheaper.
+    steps = _cdf_steps(policies, n_slots)
+    degrees = np.empty((n_users, n_frames), dtype=np.min_scalar_type(max_degree))
+    block = max(1, _CHUNK_ELEMENTS // max(n_frames, 1))
+    for first in range(0, n_users, block):
+        users = slice(first, first + block)
+        _locate_degrees(rng.random(degrees[users].shape), steps[users], degrees[users])
 
     # A chunk holds at most _CHUNK_ELEMENTS // 4 rows and _CHUNK_ELEMENTS words.
     n_words = -(-n_slots // 64)
     chunk = max(1, min(n_frames, _CHUNK_ELEMENTS // (n_users * max(4, n_words))))
     sample = _floyd_sampler(chunk * n_users, n_slots, max_degree)
+    rows = np.empty((chunk, n_users), dtype=np.int64)
     counts = np.empty(n_frames, dtype=np.int64)
     for done in range(0, n_frames, chunk):
         f = min(chunk, n_frames - done)
-        masks = sample(degrees[done : done + f].reshape(-1), rng)
+        rows[:f] = degrees[:, done : done + f].T
+        masks = sample(rows[:f].reshape(-1), rng)
         frames = masks.reshape(f, n_users, n_words).transpose(1, 2, 0)
         counts[done : done + f], _ = _peel_masks(frames)
     return counts

@@ -18,7 +18,9 @@ from irsa_rl.core import (
     slotted_aloha_throughput,
     uniform_distribution,
     _CHUNK_ELEMENTS,
+    _cdf_steps,
     _floyd_sampler,
+    _locate_degrees,
     _peel_masks,
 )
 
@@ -88,6 +90,48 @@ def test_sample_degree_reproducible():
     a = [sample_degrees(dist, 1, np.random.default_rng(7))[0] for _ in range(50)]
     b = [sample_degrees(dist, 1, np.random.default_rng(7))[0] for _ in range(50)]
     assert a == b
+
+
+def _crafted_uniforms(policies) -> np.ndarray:
+    """0, the largest double below 1, and every cdf entry below 1 of the
+    policies with its two neighbouring doubles, all in [0, 1)."""
+    cdfs = np.concatenate([dist._cdf for dist in policies])
+    near = np.concatenate([cdfs, np.nextafter(cdfs, 0.0), np.nextafter(cdfs, 2.0)])
+    u = np.unique(np.concatenate([near, [0.0, np.nextafter(1.0, 0.0)]]))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+#: (policies, n_slots) of the degree step checks.
+_STEP_CASES = {
+    # Uniforms equal to a step count, as searchsorted's side="right" does.
+    "equal-steps": ([LAMBDA_3, uniform_distribution(4)], 10),
+    # Zero-probability degrees repeat a step: 0 and 0.85 five times.
+    "repeated-steps": ([BASELINE_IRSA] * 2, 10),
+    # cdf (0.5, 1.0000000004, 1.0): float drift puts an entry above the last.
+    "drifted-cdf": ([DegreeDistribution((0.5, 0.5 + 4e-10, 0.0))], 10),
+    # d = 1 rows are all padding and always give degree 1.
+    "d1-in-mixed": ([PURE_ALOHA, BASELINE_IRSA, PURE_ALOHA, LAMBDA_3], 10),
+    # d > N: S = N - 1 columns cap the degree at N.
+    "d-above-n": ([BASELINE_IRSA, uniform_distribution(1024), LAMBDA_3, PURE_ALOHA], 4),
+    "d-above-wide-n": ([uniform_distribution(1024), BASELINE_IRSA], 300),
+}
+
+
+@pytest.mark.parametrize("policies,n_slots", list(_STEP_CASES.values()), ids=list(_STEP_CASES))
+def test_locate_degrees_equals_capped_searchsorted(policies, n_slots):
+    # Every user's row of uniforms holds every crafted value, so each user
+    # meets its own steps and the other users' exactly.
+    max_degree = min(max(dist.d for dist in policies), n_slots)
+    steps = _cdf_steps(policies, n_slots)
+    assert steps.shape == (len(policies), max_degree - 1)
+    u = np.tile(_crafted_uniforms(policies), (len(policies), 1))
+    out = np.empty(u.shape, dtype=np.min_scalar_type(max_degree))
+    _locate_degrees(u, steps, out)
+    expected = [
+        np.minimum(np.searchsorted(dist._cdf, row, side="right") + 1, n_slots)
+        for dist, row in zip(policies, u)
+    ]
+    assert np.array_equal(out, expected)
 
 
 # --- replica placement ----------------------------------------------------
@@ -377,7 +421,10 @@ _ONES_D2 = DegreeDistribution((1.0, 0.0))
 #: two, three and five slot-mask words. 12 users over 11500 frames fill
 #: several chunks of at most _CHUNK_ELEMENTS // 4 (frame, user) rows; 8 users
 #: in 300 slots over 2000 frames fill two chunks of at most _CHUNK_ELEMENTS
-#: mask words.
+#: mask words. Degrees are drawn in blocks of _CHUNK_ELEMENTS // n_frames
+#: users: 5 users over 22000 frames take blocks of 2, 2 and 1 users. d = 1024
+#: in 10 slots takes 9 capped CDF steps of 1023; in 300 slots its degrees
+#: need more than 8 bits.
 _REPLAYS = {
     "10-10-2500": (10, [BASELINE_IRSA] * 10, 2500),
     "50-40-250": (50, [BASELINE_IRSA] * 40, 250),
@@ -387,6 +434,9 @@ _REPLAYS = {
     "140-130-24": (140, [BASELINE_IRSA] * 130, 24),
     "12-12-11500": (12, [BASELINE_IRSA] * 12, 11500),
     "300-8-2000": (300, [BASELINE_IRSA] * 8, 2000),
+    "d1024-10-10-300": (10, [uniform_distribution(1024)] * 10, 300),
+    "d1024-300-3-20": (300, [uniform_distribution(1024)] * 3, 20),
+    "blocks-6-5-22000": (6, _MIXED + [uniform_distribution(5)], 22000),
 }
 
 
@@ -398,6 +448,8 @@ def test_replays_span_words_and_peel_batches():
     assert n_frames * len(policies) > 2 * (_CHUNK_ELEMENTS // 4)
     n_slots, policies, n_frames = _REPLAYS["300-8-2000"]
     assert n_frames * len(policies) * -(-n_slots // 64) > _CHUNK_ELEMENTS
+    n_slots, policies, n_frames = _REPLAYS["blocks-6-5-22000"]
+    assert len(policies) > 2 * (_CHUNK_ELEMENTS // n_frames) > 2
 
 
 @pytest.mark.parametrize("n_slots,policies,n_frames", list(_REPLAYS.values()), ids=list(_REPLAYS))
@@ -431,6 +483,29 @@ def test_simulate_saturated_all_aloha_stream(policy, m, n_slots, n_frames):
 def test_simulate_saturated_rejects_empty_frame():
     with pytest.raises(ValueError, match="at least one slot"):
         simulate_saturated([BASELINE_IRSA] * 2, 0, 10, np.random.default_rng(0))
+
+
+#: One policy list per route of simulate_saturated: IRSA frames, no users,
+#: and Slotted ALOHA (every capped maximum degree is 1).
+_ROUTES = {"irsa": [BASELINE_IRSA] * 3, "no-users": [], "aloha": [PURE_ALOHA] * 3}
+
+
+@pytest.mark.parametrize("policies", list(_ROUTES.values()), ids=list(_ROUTES))
+def test_simulate_saturated_rejects_negative_frames_before_any_draw(policies):
+    rng = np.random.default_rng(28)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_frames must be >= 0, got -1"):
+        simulate_saturated(policies, 10, -1, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("policies", list(_ROUTES.values()), ids=list(_ROUTES))
+def test_simulate_saturated_zero_frames_draw_nothing(policies):
+    rng = np.random.default_rng(29)
+    state = rng.bit_generator.state
+    counts = simulate_saturated(policies, 10, 0, rng)
+    assert counts.dtype == np.int64 and counts.shape == (0,)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize(
